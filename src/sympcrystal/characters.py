@@ -19,7 +19,7 @@ from .tableaux import (
     Weight,
     conjugate,
     enumerate_king,
-    is_horizontal_strip,
+    interlacing_partitions,
     king_weight,
     normalize_partition,
     tableaux_of_shape,
@@ -202,14 +202,6 @@ def schur_eval(mu: Partition, m: int) -> LaurentCharacter:
     return _monomial_sum(exponent(t) for t in tableaux_of_shape(mu, 2 * m))
 
 
-def elementary_eval(ell: int, m: int) -> LaurentCharacter:
-    return schur_eval((1,) * ell, m)
-
-
-def homogeneous_eval(k: int, m: int) -> LaurentCharacter:
-    return schur_eval((k,), m)
-
-
 def decompose_sp(f: LaurentCharacter, m: int) -> Counter:
     """Exact multiplicities in the irreducible-character basis.
 
@@ -251,30 +243,18 @@ def dual_pieri_count(lam: Partition, ell: int, nu: Partition, g: int) -> int:
     )
 
 
-def _subpartitions(cap: Partition):
-    if not cap:
-        yield ()
-        return
-    for first in range(cap[0] + 1):
-        inner_cap = tuple(min(v, first) for v in cap[1:])
-        for rest in _subpartitions(inner_cap):
-            yield normalize_partition((first, *rest))
-
-
 def sundaram_h_count(lam: Partition, k: int, nu: Partition) -> int:
     """Shapes under both that leave a horizontal strip to each, k boxes total."""
     lam = normalize_partition(lam)
     nu = normalize_partition(nu)
-    cap = tuple(min(a, b) for a, b in zip(lam, nu))
-    count = 0
-    for delta in _subpartitions(cap):
-        if (
-            sum(lam) + sum(nu) - 2 * sum(delta) == k
-            and is_horizontal_strip(lam, delta)
-            and is_horizontal_strip(nu, delta)
-        ):
-            count += 1
-    return count
+    rows = max(len(lam), len(nu))
+    lam_p = lam + (0,) * (rows + 1 - len(lam))
+    nu_p = nu + (0,) * (rows + 1 - len(nu))
+    bounds = [
+        (max(lam_p[r + 1], nu_p[r + 1]), min(lam_p[r], nu_p[r])) for r in range(rows)
+    ]
+    target = sum(lam) + sum(nu) - k
+    return sum(1 for delta in interlacing_partitions(bounds) if 2 * sum(delta) == target)
 
 
 # ---------------------------------------------------------------------------
@@ -290,40 +270,18 @@ def _gl_highest(t: SSOT) -> bool:
     return True
 
 
-def conjecture_lhs(lam: Partition, mu: Partition, nu: Partition, m: int) -> int:
-    """Count chains inside conj(lam), outside conj(nu), strip sizes conj(mu),
-    peaks at most m wide, with every junction statistic zero."""
-    lam, mu, nu = map(normalize_partition, (lam, mu, nu))
-    weight = conjugate(mu)
-    if not weight:
-        return int(lam == nu)
-    chains = enumerate_ssot(
-        conjugate(nu), len(weight), m, inside=conjugate(lam), weight=weight
-    )
-    return sum(1 for t in chains if _gl_highest(t))
-
-
 def conjecture_table(lam: Partition, mu: Partition, m: int) -> Counter:
-    """The tableau side of the product formula, grouped by ending partition."""
+    """The tableau side of the product formula, grouped by ending partition.
+
+    Entry ``nu`` counts the chains inside conj(lam), outside conj(nu), strip
+    sizes conj(mu), peaks at most m wide, with every junction statistic zero.
+    """
     lam, mu = normalize_partition(lam), normalize_partition(mu)
     weight = conjugate(mu)
-    out: Counter = Counter()
     if not weight:
-        out[lam] = 1
-        return out
-
-    def rec(k: int, cur: Partition, acc: list) -> None:
-        if k == len(weight):
-            if _gl_highest(SSOT(tuple(acc))):
-                out[conjugate(cur)] += 1
-            return
-        for strip in enumerate_strips(cur, m, size=weight[k]):
-            acc.append(strip)
-            rec(k + 1, strip.outside, acc)
-            acc.pop()
-
-    rec(0, conjugate(lam), [])
-    return out
+        return Counter({lam: 1})
+    chains = enumerate_ssot(None, len(weight), m, inside=conjugate(lam), weight=weight)
+    return Counter(conjugate(t.outside) for t in chains if _gl_highest(t))
 
 
 @dataclass(frozen=True)

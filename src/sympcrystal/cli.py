@@ -13,7 +13,8 @@ matrices as comma-separated rows on separate lines.  All output is sorted,
 so identical invocations produce identical bytes.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage error (including out-of-bounds verify requests), 3 invalid input.
+2 usage error (including out-of-bounds verify requests, negative --m, --g,
+--index or --max-size, and an unreadable --input file), 3 invalid input.
 """
 
 import argparse
@@ -98,7 +99,10 @@ def parse_king_text(text: str):
 def read_input(path: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise UsageError(f"cannot read --input: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +241,12 @@ def suite_bijections(m, g):
     rows = []
     pairs = strips = 0
     weight_ok = True
+    by_outside = {}
+    for t in enumerate_ssot(None, m, g):
+        by_outside.setdefault(t.outside, []).append(t)
     for mu in partitions_in_box(m, g):
-        outside = rect_complement(mu, m, g)
         kings = enumerate_king(mu, m)
-        ssots = enumerate_ssot(outside, m, g)
+        ssots = by_outside.get(rect_complement(mu, m, g), [])
         pairs += len(kings)
         if sorted(map(str, (psi(t, m, g) for t in kings))) != sorted(map(str, ssots)):
             weight_ok = False
@@ -250,7 +256,7 @@ def suite_bijections(m, g):
                 weight_ok = False
     _check(rows, "bijections", "king_transport_round_trip", weight_ok,
            f"tableaux={pairs} m={m} g={g}")
-    chains = enumerate_ssot((), m, g)
+    chains = by_outside.get((), [])
     mats = enumerate_admissible(m, g)
     ok = len(chains) == len(mats)
     inv_ok = True
@@ -268,17 +274,11 @@ def suite_bijections(m, g):
     return rows
 
 
-def _ssot_corpus(m, g):
-    return [
-        t
-        for mu in partitions_in_box(m, g)
-        for t in enumerate_ssot(rect_complement(mu, m, g), m, g)
-    ]
-
-
 def suite_crystal(m, g):
     rows = []
-    corpus = _ssot_corpus(m, g)
+    # the crystals of every shape in the m x g box: m strips with peaks at
+    # most g wide never leave it
+    corpus = enumerate_ssot(None, m, g)
     mats = enumerate_admissible(m, g)
     v = axiom_violations(SsotCrystal(m, g), corpus)
     _check(rows, "crystal", "axioms_oscillating", not v,
@@ -298,7 +298,7 @@ def suite_crystal(m, g):
     _check(rows, "crystal", "insertion_vs_surgery", route_ok, f"checks={checked}")
     equi_ok = True
     checked = 0
-    for t in enumerate_ssot((), m, g):
+    for t in [t for t in corpus if t.outside == ()]:
         mat = phi(t)
         for i in range(m):
             checked += 1
@@ -422,14 +422,25 @@ def cmd_verify(args):
 # wiring
 
 
+def _nonnegative_int(text: str) -> int:
+    """A nonnegative int option value; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sympcrystal", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, g_default=None):
-        p.add_argument("--m", type=int, default=2, help="number of letter tracks")
-        p.add_argument("--g", type=int, default=g_default, help="column bound")
+        p.add_argument("--m", type=_nonnegative_int, default=2, help="number of letter tracks")
+        p.add_argument("--g", type=_nonnegative_int, default=g_default, help="column bound")
         p.add_argument("--output", help="write here instead of stdout")
 
     p = sub.add_parser("enumerate", help="list King or oscillating tableaux")
@@ -446,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     crystal_sub = p.add_subparsers(dest="action", required=True)
     pa = crystal_sub.add_parser("apply", help="apply one operator to one object")
     pa.add_argument("--op", choices=["raise", "lower"], required=True)
-    pa.add_argument("--index", type=int, required=True)
+    pa.add_argument("--index", type=_nonnegative_int, required=True)
     pa.add_argument("--input", help="path, or - for stdin")
     pa.add_argument("--inside", default="[]", help="inner shape for skew chains")
     common(pa)
@@ -461,14 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default="[]")
     p.add_argument("--mu", default=None)
     p.add_argument("--nu", default=None)
-    p.add_argument("--index", type=int, default=None, help="strip size for pieri")
+    p.add_argument("--index", type=_nonnegative_int, default=None, help="strip size for pieri")
     p.add_argument("--format", choices=["text", "tsv"], default="text")
     common(p)
 
     p = sub.add_parser("verify", help="run an invariant battery")
     p.add_argument("what", choices=["bijections", "crystal", "characters",
                                     "conjecture", "all"])
-    p.add_argument("--max-size", type=int, default=None,
+    p.add_argument("--max-size", type=_nonnegative_int, default=None,
                    help="partition size cap for character suites")
     common(p)
     return parser

@@ -6,7 +6,9 @@ partition at every step, with both skew pieces horizontal strips.  It is
 stored as the inside shape plus the signed word of row indices: ``+r`` adds a
 box in row ``r``, ``-r`` removes one, and the word weakly decreases as signed
 ints — which makes it the unique such word for its (inside, peak, outside)
-triple.
+triple.  Construction replays the word once to validate it and stores the
+peak (``star``) and ``outside`` shapes it reaches; they take no part in
+equality, hashing or ``repr``.
 
 A semistandard oscillating tableau (SSOT) is a chain of these strips, each
 starting where the previous one ended.
@@ -15,14 +17,14 @@ starting where the previous one ended.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .tableaux import (
     Partition,
     add_box,
-    contains,
     format_letter,
+    interlacing_partitions,
     is_horizontal_strip,
     normalize_partition,
     parse_letter,
@@ -34,6 +36,8 @@ from .tableaux import (
 class OscStrip:
     inside: Partition
     word: tuple[int, ...]
+    star: Partition = field(init=False, compare=False, repr=False)  # the peak
+    outside: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "inside", normalize_partition(self.inside))
@@ -42,7 +46,10 @@ class OscStrip:
             raise ValueError(f"word {self.word} is not weakly decreasing")
         if any(x == 0 for x in self.word):
             raise ValueError("0 is not a row index")
-        self.sequence()  # replay to validate every step
+        shapes = self.sequence()  # replay to validate every step
+        peak = sum(1 for s in self.word if s > 0)
+        object.__setattr__(self, "star", shapes[peak])
+        object.__setattr__(self, "outside", shapes[-1])
 
     def sequence(self) -> tuple[Partition, ...]:
         """Every partition the strip touches, inside first."""
@@ -52,20 +59,6 @@ class OscStrip:
             cur = add_box(cur, s) if s > 0 else remove_box(cur, -s)
             shapes.append(cur)
         return tuple(shapes)
-
-    @property
-    def outside(self) -> Partition:
-        return self.sequence()[-1]
-
-    @property
-    def star(self) -> Partition:
-        """The peak shape, after all additions."""
-        cur = self.inside
-        for s in self.word:
-            if s < 0:
-                break
-            cur = add_box(cur, s)
-        return cur
 
     @property
     def size(self) -> int:
@@ -205,38 +198,12 @@ def ssot_from_text(text: str, inside: Partition = ()) -> SSOT:
 
 def peaks_above(inside: Partition, max_cols: int) -> Iterator[Partition]:
     """Shapes reachable from ``inside`` by a horizontal strip, first part <= max_cols."""
-    if inside and inside[0] > max_cols:
-        return
-    rows = len(inside) + 1
-    padded = inside + (0,)
-
-    def rec(r: int) -> Iterator[tuple[int, ...]]:
-        if r == rows:
-            yield ()
-            return
-        hi = max_cols if r == 0 else padded[r - 1]
-        for v in range(padded[r], hi + 1):
-            for rest in rec(r + 1):
-                yield (v, *rest)
-
-    for shape in rec(0):
-        yield normalize_partition(shape)
+    return interlacing_partitions(zip(inside + (0,), (max_cols, *inside)))
 
 
 def drops_below(star: Partition) -> Iterator[Partition]:
     """Shapes reachable from ``star`` by removing a horizontal strip."""
-    padded = star + (0,)
-
-    def rec(r: int) -> Iterator[tuple[int, ...]]:
-        if r == len(star):
-            yield ()
-            return
-        for v in range(padded[r + 1], star[r] + 1):
-            for rest in rec(r + 1):
-                yield (v, *rest)
-
-    for shape in rec(0):
-        yield normalize_partition(shape)
+    return interlacing_partitions(zip(star[1:] + (0,), star))
 
 
 def enumerate_strips(
@@ -255,7 +222,7 @@ def enumerate_strips(
 
 
 def enumerate_ssot(
-    outside: Partition,
+    outside: Partition | None,
     m: int,
     g: int,
     inside: Partition = (),
@@ -263,9 +230,12 @@ def enumerate_ssot(
 ) -> list[SSOT]:
     """All SSOT with ``m`` strips from ``inside`` to ``outside``, peaks <= g columns.
 
+    ``outside=None`` accepts every end shape; the chains then come in the same
+    order as the fixed-``outside`` calls would give them, interleaved.
     ``weight`` fixes each strip's size when given.
     """
-    outside = normalize_partition(outside)
+    if outside is not None:
+        outside = normalize_partition(outside)
     inside = normalize_partition(inside)
     if weight is not None and len(weight) != m:
         raise ValueError("weight length must equal the number of strips")
@@ -273,7 +243,7 @@ def enumerate_ssot(
 
     def rec(k: int, cur: Partition, acc: list[OscStrip]) -> None:
         if k == m:
-            if cur == outside:
+            if outside is None or cur == outside:
                 out.append(SSOT(tuple(acc)))
             return
         for strip in enumerate_strips(

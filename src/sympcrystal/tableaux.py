@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import product
+from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
 Weight = tuple[int, ...]
@@ -63,6 +64,18 @@ def is_horizontal_strip(outer: Partition, inner: Partition) -> bool:
         return False
     inner = inner + (0,) * (len(outer) - len(inner))
     return all(outer[i + 1] <= inner[i] for i in range(len(outer) - 1))
+
+
+def interlacing_partitions(bounds: Iterable[tuple[int, int]]) -> Iterator[Partition]:
+    """Partitions whose part ``r`` ranges over ``bounds[r]`` (inclusive), in
+    lexicographic order.
+
+    The shapes one horizontal strip away from a fixed shape have bounds that
+    interlace, each row's lower bound at least the next row's upper bound, so
+    every choice is weakly decreasing and needs no check.
+    """
+    for parts in product(*(range(lo, hi + 1) for lo, hi in bounds)):
+        yield tuple(p for p in parts if p)
 
 
 def is_vertical_strip(outer: Partition, inner: Partition) -> bool:
@@ -193,10 +206,6 @@ def partition_to_weight(mu: Partition, m: int) -> Weight:
     return tuple(reversed(padded))
 
 
-def is_dominant(w: Weight) -> bool:
-    return all(a <= b for a, b in zip(w, w[1:])) and (not w or w[0] >= 0)
-
-
 def simple_root(i: int, m: int) -> Weight:
     """Simple root ``alpha_i`` for index ``0 <= i < m`` in weight coordinates."""
     if not 0 <= i < m:
@@ -309,33 +318,42 @@ class Tableau:
         return "/".join(" ".join(str(x) for x in r) for r in self.rows)
 
 
-EMPTY_TABLEAU = Tableau(())
+def _fillings(
+    mu: Partition, floors: list[int], top: int
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Rows of every filling of ``mu`` with entries at most ``top`` that weakly
+    increase along rows, strictly increase down columns, and are at least
+    ``floors[i]`` in row ``i``; lexicographic in the row-major entries."""
+    rows = [[0] * p for p in mu]
+    cells = [(i, j) for i, p in enumerate(mu) for j in range(p)]
+    out: list[tuple[tuple[int, ...], ...]] = []
 
-
-def tableaux_of_shape(mu: Partition, letters: int) -> Iterator[Tableau]:
-    """All semistandard tableaux of shape ``mu`` with entries in ``1..letters``."""
-    mu = normalize_partition(mu)
-    if not mu:
-        yield EMPTY_TABLEAU
-        return
-    rows: list[list[int]] = [[0] * p for p in mu]
-
-    def fill(cells: list[tuple[int, int]], k: int) -> Iterator[Tableau]:
+    def fill(k: int) -> None:
         if k == len(cells):
-            yield Tableau(tuple(tuple(r) for r in rows))
+            out.append(tuple(map(tuple, rows)))
             return
         i, j = cells[k]
-        lo = 1
+        lo = floors[i]
         if j > 0:
             lo = max(lo, rows[i][j - 1])
         if i > 0:
             lo = max(lo, rows[i - 1][j] + 1)
-        for v in range(lo, letters + 1):
+        for v in range(lo, top + 1):
             rows[i][j] = v
-            yield from fill(cells, k + 1)
+            fill(k + 1)
 
-    cell_list = [(i, j) for i, p in enumerate(mu) for j in range(p)]
-    yield from fill(cell_list, 0)
+    fill(0)
+    return out
+
+
+def tableaux_of_shape(mu: Partition, letters: int) -> Iterator[Tableau]:
+    """All semistandard tableaux of shape ``mu`` with entries in ``1..letters``.
+
+    Ordered lexicographically by the entries read row by row.
+    """
+    mu = normalize_partition(mu)
+    for rows in _fillings(mu, [1] * len(mu), letters):
+        yield Tableau(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -413,30 +431,10 @@ def enumerate_king(mu: Partition, m: int) -> list[KingTableau]:
     mu = normalize_partition(mu)
     if len(mu) > m:
         raise ValueError(f"shape {mu} has more than {m} rows")
-    if not mu:
-        return [KingTableau(())]
-    grid: list[list[int]] = [[0] * p for p in mu]
-    out: list[KingTableau] = []
-    cells = [(i, j) for i, p in enumerate(mu) for j in range(p)]
-
-    def fill(k: int) -> None:
-        if k == len(cells):
-            out.append(
-                KingTableau(tuple(tuple(rank_letter(r) for r in row) for row in grid))
-            )
-            return
-        i, j = cells[k]
-        lo = 2 * (i + 1) - 1
-        if j > 0:
-            lo = max(lo, grid[i][j - 1])
-        if i > 0:
-            lo = max(lo, grid[i - 1][j] + 1)
-        for v in range(lo, 2 * m + 1):
-            grid[i][j] = v
-            fill(k + 1)
-
-    fill(0)
-    return out
+    return [
+        KingTableau(tuple(tuple(rank_letter(r) for r in row) for row in rows))
+        for rows in _fillings(mu, [2 * i + 1 for i in range(len(mu))], 2 * m)
+    ]
 
 
 def king_to_text(t: KingTableau) -> str:

@@ -8,20 +8,22 @@ from hypothesis import given, strategies as st
 from sympcrystal.characters import (
     ConjectureReport,
     LaurentCharacter,
-    conjecture_lhs,
     conjecture_table,
     conjecture_verify,
     decompose_sp,
     dual_pieri_count,
-    elementary_eval,
-    homogeneous_eval,
     king_character,
     schur_eval,
     sundaram_h_count,
     weyl_character,
     weyl_dimension,
 )
-from sympcrystal.tableaux import enumerate_king, partitions_of
+from sympcrystal.tableaux import (
+    enumerate_king,
+    is_horizontal_strip,
+    normalize_partition,
+    partitions_of,
+)
 
 
 def parts_upto(n, max_length=None):
@@ -100,9 +102,9 @@ def test_schur_eval_anchors():
     assert schur_eval((2,), 1) == LaurentCharacter({(2,): 1, (0,): 1, (-2,): 1})
     assert schur_eval((), 2) == LaurentCharacter.one(2)
     # first elementary = first homogeneous = the defining character
-    assert elementary_eval(1, 2) == homogeneous_eval(1, 2) == weyl_character((1,), 2)
+    assert schur_eval((1,), 2) == weyl_character((1,), 2)
     # too-long column over 2m letters vanishes
-    assert elementary_eval(3, 1) == LaurentCharacter()
+    assert schur_eval((1, 1, 1), 1) == LaurentCharacter()
 
 
 def test_schur_eval_is_signed_symmetric():
@@ -169,7 +171,7 @@ def test_dual_pieri_matches_decomposition():
         for lam in parts_upto(2, m):
             chi = weyl_character(lam, m)
             for ell in range(4):
-                dec = decompose_sp(chi * elementary_eval(ell, m), m)
+                dec = decompose_sp(chi * schur_eval((1,) * ell, m), m)
                 for nu in parts_upto(3, m):
                     assert dec.get(nu, 0) == dual_pieri_count(lam, ell, nu, m), (
                         m,
@@ -192,7 +194,7 @@ def test_sundaram_matches_decomposition():
         for lam in parts_upto(2, m):
             chi = weyl_character(lam, m)
             for k in range(4):
-                dec = decompose_sp(chi * homogeneous_eval(k, m), m)
+                dec = decompose_sp(chi * schur_eval((k,), m), m)
                 for nu in set(parts_upto(5, m)):
                     assert dec.get(nu, 0) == sundaram_h_count(lam, k, nu), (
                         m,
@@ -200,6 +202,40 @@ def test_sundaram_matches_decomposition():
                         k,
                         nu,
                     )
+
+
+def _subpartitions(cap):
+    if not cap:
+        yield ()
+        return
+    for first in range(cap[0] + 1):
+        inner_cap = tuple(min(v, first) for v in cap[1:])
+        for rest in _subpartitions(inner_cap):
+            yield normalize_partition((first, *rest))
+
+
+def sundaram_by_scan(lam, k, nu):
+    """Every shape under both, kept when it leaves a horizontal strip to each."""
+    cap = tuple(min(a, b) for a, b in zip(lam, nu))
+    return sum(
+        1
+        for delta in _subpartitions(cap)
+        if sum(lam) + sum(nu) - 2 * sum(delta) == k
+        and is_horizontal_strip(lam, delta)
+        and is_horizontal_strip(nu, delta)
+    )
+
+
+def test_sundaram_matches_subpartition_scan():
+    shapes = parts_upto(4)
+    for lam in shapes:
+        for nu in shapes:
+            for k in range(9):
+                assert sundaram_h_count(lam, k, nu) == sundaram_by_scan(lam, k, nu), (
+                    lam,
+                    k,
+                    nu,
+                )
 
 
 @given(
@@ -218,6 +254,10 @@ def test_sundaram_symmetry(args):
 
 # ---------------------------------------------------------------------------
 # the product formula
+
+
+def conjecture_lhs(lam, mu, nu, m):
+    return conjecture_table(lam, mu, m)[normalize_partition(nu)]
 
 
 def test_conjecture_lhs_anchors():

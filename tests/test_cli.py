@@ -244,6 +244,30 @@ def test_missing_flag_is_usage_error(capsys, monkeypatch):
     assert code == 2 and "usage error" in err
 
 
+def test_unreadable_input_is_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "map", "phi", "--input", str(tmp_path / "missing.txt")
+    )
+    assert (code, out) == (2, "") and err.startswith("usage error: cannot read --input")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "ssot", "--g", "-1"],
+        ["char", "pieri", "--lambda", "[1]", "--index", "-1", "--m", "2"],
+        ["enumerate", "king", "--m", "-1"],
+        ["verify", "characters", "--m", "1", "--max-size", "-1"],
+    ],
+)
+def test_negative_parameter_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be nonnegative" in err
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.txt"
     code, out, _ = run_cli(

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from sympcrystal.oscillating import (
     ssot_from_text,
     ssot_to_text,
 )
-from sympcrystal.tableaux import is_horizontal_strip
+from sympcrystal.tableaux import is_horizontal_strip, partitions_in_box
 
 
 def running_example():
@@ -75,6 +77,24 @@ def test_from_partitions_known():
 @given(strips())
 def test_strip_triple_roundtrip(s):
     assert OscStrip.from_partitions(s.inside, s.star, s.outside) == s
+
+
+def test_stored_shapes_match_replay():
+    for inside in partitions_in_box(3, 3):
+        for s in enumerate_strips(inside, 3):
+            shapes = s.sequence()
+            assert s.star == shapes[sum(s.additions().values())]
+            assert s.outside == shapes[-1]
+
+
+def test_stored_shapes_stay_out_of_equality_hash_and_repr():
+    assert [f.name for f in fields(OscStrip) if f.compare] == ["inside", "word"]
+    s = OscStrip((1,), (2, 1, -2))
+    t = OscStrip((1,), (2, 1, -2))
+    object.__setattr__(t, "star", None)
+    object.__setattr__(t, "outside", None)
+    assert s == t and hash(s) == hash(t)
+    assert repr(s) == "OscStrip(inside=(1,), word=(2, 1, -2))"
 
 
 @given(strips())
@@ -141,6 +161,20 @@ def test_peaks_and_drops():
     assert set(drops_below(())) == {()}
 
 
+def test_peaks_and_drops_match_brute_force():
+    for inside in partitions_in_box(3, 3):
+        for max_cols in range(5):
+            assert list(peaks_above(inside, max_cols)) == [
+                p
+                for p in partitions_in_box(len(inside) + 1, max_cols)
+                if is_horizontal_strip(p, inside)
+            ]
+        cols = inside[0] if inside else 0
+        assert list(drops_below(inside)) == [
+            p for p in partitions_in_box(len(inside), cols) if is_horizontal_strip(inside, p)
+        ]
+
+
 def test_enumerate_strips_small():
     # from the empty shape with one column allowed: stay, add, or add-remove
     got = enumerate_strips((), 1)
@@ -171,6 +205,28 @@ def test_enumerate_ssot_weight_filter():
     assert t in found
     for u in found:
         assert u.weight() == (2, 3, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "inside, m, g, weight",
+    [
+        ((), 1, 1, None),
+        ((), 2, 2, None),
+        ((), 3, 1, None),
+        ((), 3, 2, None),
+        ((1,), 2, 2, None),
+        ((2, 1), 3, 2, (1, 2, 1)),
+        ((1, 1), 3, 2, (2, 0, 2)),
+    ],
+)
+def test_any_outside_is_the_union_of_fixed_outsides(inside, m, g, weight):
+    every = enumerate_ssot(None, m, g, inside=inside, weight=weight)
+    total = 0
+    for outside in partitions_in_box(len(inside) + m, g):
+        fixed = enumerate_ssot(outside, m, g, inside=inside, weight=weight)
+        assert [t for t in every if t.outside == outside] == fixed
+        total += len(fixed)
+    assert total == len(every) > 0
 
 
 def test_enumerate_ssot_peak_bound():

@@ -226,6 +226,14 @@ def test_tableaux_of_shape_counts():
     assert len(list(tableaux_of_shape((), 5))) == 1
 
 
+def test_fillers_list_in_row_major_lexicographic_order():
+    for mu in ((1,), (2,), (2, 1), (3, 1), (2, 2), (2, 1, 1)):
+        words = [tuple(t.entries()) for t in tableaux_of_shape(mu, 4)]
+        assert words and words == sorted(set(words))
+        ranks = [t.reading_ranks() for t in enumerate_king(mu, 3)]
+        assert ranks and ranks == sorted(set(ranks))
+
+
 # ---------------------------------------------------------------------------
 # King tableaux
 
