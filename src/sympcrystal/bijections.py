@@ -1,4 +1,4 @@
-"""The two structure-preserving bijections and their trace oracles.
+"""The two structure-preserving bijections.
 
 * :func:`psi` sends a King tableau of shape ``mu`` (inside the ``m x g``
   rectangle) to the oscillating tableau whose shapes are rectangle
@@ -12,22 +12,22 @@ Both come with inverses and raise ValueError off their domains.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .oscillating import SSOT, OscStrip
 from .rsk import (
     Matrix,
+    _pop_largest,
+    _reverse_row_bump,
+    _row_bump,
     is_admissible,
     matrix,
-    remove_rightmost,
-    reverse_row_insert,
-    row_insert,
     row_sums,
     two_line_array,
 )
 from .tableaux import (
     KingTableau,
     Partition,
-    Tableau,
-    normalize_partition,
     rank_letter,
     rect_complement,
 )
@@ -123,31 +123,20 @@ def phi(t: SSOT) -> Matrix:
     """Matrix of the involution matched by unwinding the tableau's removals."""
     if t.inside != () or t.outside != ():
         raise ValueError("tableau must start and end at the empty shape")
-    chain = t.chain()
-    total = len(chain) - 1
-    v = Tableau(())
+    word = [s for strip in t.strips for s in strip.word]
+    rows: list[list[int]] = []
     mate: dict[int, int] = {}
-    for k in range(1, total + 1):
-        prev, cur = chain[k - 1], chain[k]
-        if sum(cur) > sum(prev):
-            row = next(
-                r
-                for r in range(len(cur))
-                if cur[r] > (prev[r] if r < len(prev) else 0)
-            )
-            rows = [list(x) for x in v.rows]
-            if row == len(rows):
-                rows.append([])
-            rows[row].append(k)
-            v = Tableau(tuple(tuple(x) for x in rows))
+    for k, s in enumerate(word, start=1):
+        if s < 0:
+            j = _reverse_row_bump(rows, -s - 1)
+            mate[j], mate[k] = k, j
+        elif s > len(rows):
+            rows.append([k])
         else:
-            row = next(r for r in range(len(prev)) if prev[r] > (cur + (0,) * len(prev))[r])
-            v, j = reverse_row_insert(v, row + 1)
-            mate[j] = k
-            mate[k] = j
+            rows[s - 1].append(k)
     alpha = t.weight()
     grid = [[0] * t.length for _ in range(t.length)]
-    for q in range(1, total + 1):
+    for q in range(1, len(word) + 1):
         grid[block_of(q, alpha) - 1][block_of(mate[q], alpha) - 1] += 1
     return matrix(grid)
 
@@ -162,85 +151,21 @@ def phi_inverse(m: Matrix) -> SSOT:
     w = {q: word[q - 1] for q in range(1, total + 1)}
     if any(w[w[q]] != q or w[q] == q for q in w):
         raise ValueError("standardization is not a fixed-point-free involution")
-    # walk the recording tableau down from the empty end
-    shapes: list[Partition] = [()] * (total + 1)
-    v = Tableau(())
-    for q in range(total - 1, -1, -1):
-        k = q + 1
+    # walk the recording tableau down from the empty end; step k of the
+    # chain removes the box an insertion made and adds the box a deletion took
+    rows: list[list[int]] = []
+    letters = [0] * total
+    for k in range(total, 0, -1):
         if k > w[k]:
-            v = row_insert(v, w[k])
+            letters[k - 1] = -(_row_bump(rows, w[k])[0] + 1)
+        elif max((row[-1] for row in rows), default=0) != k:
+            raise ValueError("deletion is not the largest entry")
         else:
-            if max(v.entries(), default=0) != k:
-                raise ValueError("deletion is not the largest entry")
-            v = remove_rightmost(v, k)
-        shapes[q] = v.shape
-    if shapes[0] != ():
+            letters[k - 1] = _pop_largest(rows)[1] + 1
+    if rows:
         raise ValueError("chain does not return to the empty shape")
-    strips = []
-    beta = 0
-    for a in alpha:
-        seg = shapes[beta : beta + a + 1]
-        word_i = []
-        for prev, cur in zip(seg, seg[1:]):
-            padded_prev = prev + (0,) * (len(cur) - len(prev))
-            padded_cur = cur + (0,) * (len(prev) - len(cur))
-            row = next(
-                r
-                for r in range(max(len(prev), len(cur)))
-                if padded_prev[r] != padded_cur[r]
-            )
-            word_i.append(row + 1 if sum(cur) > sum(prev) else -(row + 1))
-        strips.append(OscStrip(seg[0], tuple(word_i)))
-        beta += a
+    strips: list[OscStrip] = []
+    for beta, a in zip(accumulate(alpha, initial=0), alpha):
+        inside = strips[-1].outside if strips else ()
+        strips.append(OscStrip(inside, tuple(letters[beta : beta + a])))
     return SSOT(tuple(strips))
-
-
-# ---------------------------------------------------------------------------
-# trace tables
-
-
-def trace_tables(m: Matrix) -> tuple[list[Tableau], list[Tableau]]:
-    """The insertion and recording traces ``(P_q, V_q)`` for ``q = 0..m'``.
-
-    ``P_q`` row-inserts the reversed bottom line one letter at a time from the
-    right end of the two-line array.  ``V_q`` follows the same walk but
-    inserts only matched partners, deleting entries as their mates close:
-    moving from ``V_(q+1)`` to ``V_q`` looks at column ``q+1 = (i, j)`` and
-    inserts ``j`` when ``i > j``, deletes the rightmost ``i`` when ``i < j``,
-    and on the diagonal splits its run of equal columns half and half.
-    """
-    top, bottom = two_line_array(m)
-    total = len(bottom)
-    p_tables = [Tableau(())] * (total + 1)
-    for q in range(total - 1, -1, -1):
-        p_tables[q] = row_insert(p_tables[q + 1], bottom[q])
-    v_tables = [Tableau(())] * (total + 1)
-    for q in range(total - 1, -1, -1):
-        i, j = top[q], bottom[q]
-        prev = v_tables[q + 1]
-        if i > j:
-            v_tables[q] = row_insert(prev, j)
-        elif i < j:
-            if max(prev.entries(), default=0) != i:
-                raise ValueError("deletion is not the largest entry")
-            v_tables[q] = remove_rightmost(prev, i)
-        else:
-            a = b = q
-            while a > 0 and (top[a - 1], bottom[a - 1]) == (i, i):
-                a -= 1
-            while b + 1 < total and (top[b + 1], bottom[b + 1]) == (i, i):
-                b += 1
-            run = b - a + 1
-            if run % 2:
-                raise ValueError("odd run of diagonal columns")
-            pos_from_right = b - q + 1
-            if pos_from_right <= run // 2:
-                v_tables[q] = row_insert(prev, i)
-            else:
-                v_tables[q] = remove_rightmost(prev, i)
-    return p_tables, v_tables
-
-
-def inverse_column_word(m: Matrix) -> tuple[int, ...]:
-    """The bottom line read right to left."""
-    return tuple(reversed(two_line_array(m)[1]))

@@ -278,8 +278,6 @@ def conjecture_table(lam: Partition, mu: Partition, m: int) -> Counter:
     """
     lam, mu = normalize_partition(lam), normalize_partition(mu)
     weight = conjugate(mu)
-    if not weight:
-        return Counter({lam: 1})
     chains = enumerate_ssot(None, len(weight), m, inside=conjugate(lam), weight=weight)
     return Counter(conjugate(t.outside) for t in chains if _gl_highest(t))
 

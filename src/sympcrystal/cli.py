@@ -14,7 +14,8 @@ so identical invocations produce identical bytes.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error (including out-of-bounds verify requests, negative --m, --g,
---index or --max-size, and an unreadable --input file), 3 invalid input.
+--index or --max-size, an unreadable --input file and an unwritable
+--output path), 3 invalid input.
 """
 
 import argparse
@@ -42,9 +43,7 @@ from .crystal import (
     graph_to_adjacency,
     graph_to_dot,
     matrix_lower,
-    matrix_lower_surgery,
     matrix_raise,
-    matrix_raise_surgery,
     ssot_lower,
     ssot_raise,
     ssot_stats,
@@ -275,6 +274,9 @@ def suite_bijections(m, g):
 
 
 def suite_crystal(m, g):
+    # the reference routes load only when this suite runs, not at every CLI start
+    from .oracles import matrix_lower_surgery, matrix_raise_surgery
+
     rows = []
     # the crystals of every shape in the m x g box: m strips with peaks at
     # most g wide never leave it
@@ -503,17 +505,20 @@ def main(argv=None) -> int:
             lines, ok = cmd_char(args)
         else:
             lines, ok = cmd_verify(args)
+        text = "\n".join(lines) + ("\n" if lines else "")
+        if not args.output:
+            sys.stdout.write(text)
+        else:
+            try:
+                Path(args.output).write_text(text)
+            except OSError as e:
+                raise UsageError(f"cannot write --output: {e}") from None
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 3
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0 if ok else 1
 
 

@@ -20,7 +20,6 @@ from .rsk import (
     row_sums,
     rsk_column,
     rsk_column_inverse,
-    transpose_matrix,
 )
 from .tableaux import (
     KingTableau,
@@ -287,81 +286,6 @@ def matrix_phi(m: Matrix, i: int, g: int) -> int:
 def matrix_weight(m: Matrix, g: int) -> Weight:
     """Coordinate i is g minus the i-th row sum."""
     return tuple(g - s for s in row_sums(m))
-
-
-# two-line-array surgery: an independent route to the same operators
-
-
-def _row_junction_multisets(m: Matrix, i: int) -> tuple[Counter, Counter]:
-    c = Counter({j + 1: m[i - 1][j] for j in range(len(m[i - 1])) if m[i - 1][j]})
-    d = Counter({j + 1: m[i][j] for j in range(len(m[i])) if m[i][j]})
-    return c, d
-
-
-def _move_unit(m: Matrix, src: int, dst: int, col: int) -> Matrix:
-    rows = [list(r) for r in m]
-    rows[src][col - 1] -= 1
-    rows[dst][col - 1] += 1
-    return matrix(rows)
-
-
-def surgery_raise_rows(m: Matrix, i: int) -> Matrix | None:
-    """Move one unit from row i+1 up to row i (1-based), in the column of
-    the largest unpaired entry under the junction bracket pairing."""
-    c, d = _row_junction_multisets(m, i)
-    _, left_d = pair_multisets(c, d)
-    if not left_d:
-        return None
-    return _move_unit(m, i, i - 1, left_d[-1])
-
-
-def surgery_lower_rows(m: Matrix, i: int) -> Matrix | None:
-    """Move one unit from row i down to row i+1, in the column of the
-    smallest unpaired entry."""
-    c, d = _row_junction_multisets(m, i)
-    left_c, _ = pair_multisets(c, d)
-    if not left_c:
-        return None
-    return _move_unit(m, i - 1, i, left_c[0])
-
-
-def _transposed(op, m: Matrix, i: int) -> Matrix | None:
-    out = op(transpose_matrix(m), i)
-    return None if out is None else transpose_matrix(out)
-
-
-def matrix_raise_surgery(m: Matrix, i: int) -> Matrix | None:
-    """Row surgery then column surgery; agrees with matrix_raise for i >= 1."""
-    step = surgery_raise_rows(m, i)
-    return None if step is None else _transposed(surgery_raise_rows, step, i)
-
-
-def matrix_lower_surgery(m: Matrix, i: int) -> Matrix | None:
-    step = surgery_lower_rows(m, i)
-    return None if step is None else _transposed(surgery_lower_rows, step, i)
-
-
-def locality_mask(m: Matrix, i: int) -> Matrix:
-    """The part of the matrix (1-based rows/columns) that junction i sees.
-
-    Rows above i vanish; inside rows i, i+1 only the lower triangle
-    survives, with the diagonal halved; below that block only the columns
-    up to i+1 remain.
-    """
-    n = len(m)
-    rows = []
-    for p in range(1, n + 1):
-        row = []
-        for q in range(1, n + 1):
-            v = m[p - 1][q - 1]
-            if p < i or (p > i + 1 and q > i + 1) or (p in (i, i + 1) and q > p):
-                row.append(0)
-            elif p in (i, i + 1) and q == p:
-                row.append(v // 2)
-            else:
-                row.append(v)
-        rows.append(row)
-    return matrix(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,191 @@
+"""Independent reference routes; only the tests and ``verify`` import this module.
+
+* :func:`rsk_column_transpose`, ``Q(M) = P(M transposed)``: compared with
+  ``rsk.rsk_column`` and ``rsk.c_index`` on every matrix up to 4 x 4 of entry
+  sum at most 4 (``test_rsk.py::test_recorded_matches_transpose_definition``).
+* :func:`trace_tables`, :func:`inverse_column_word` and :func:`remove_biggest`:
+  the ``(P_q, V_q)`` traces of ``phi_inverse`` on ``Tableau`` objects
+  (the ``test_trace_*`` tests of ``test_bijections.py``; acceptance
+  criterion 1).
+* :func:`matrix_raise_surgery`, :func:`matrix_lower_surgery`: the matrix
+  operators for ``i >= 1`` by bracket surgery, without insertion (the
+  ``verify crystal`` row ``insertion_vs_surgery``;
+  ``test_crystal.py::test_matrix_two_routes_agree_exhaustive``).
+* :func:`locality_mask`: the part of a matrix that junction ``i`` sees
+  (``test_crystal.py::test_locality_mask_anchor``).
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from .crystal import pair_multisets
+from .rsk import (
+    Matrix,
+    column_insert_word,
+    matrix,
+    row_insert,
+    transpose_matrix,
+    two_line_array,
+)
+from .tableaux import Tableau
+
+
+def rsk_column_transpose(m: Matrix) -> tuple[Tableau, Tableau]:
+    """The pair ``(P, Q)``: insert the bottom line; Q comes from the transpose."""
+    p = column_insert_word(two_line_array(m)[1])
+    q = column_insert_word(two_line_array(transpose_matrix(m))[1])
+    return p, q
+
+
+def remove_rightmost(t: Tableau, value: int) -> Tableau:
+    """Remove the rightmost cell holding ``value``; it must sit at a corner."""
+    rows = [list(r) for r in t.rows]
+    best: tuple[int, int] | None = None
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if v == value and (best is None or c > best[1]):
+                best = (r, c)
+    if best is None:
+        raise ValueError(f"{value} does not appear")
+    r, c = best
+    if c != len(rows[r]) - 1 or (r + 1 < len(rows) and len(rows[r + 1]) > c):
+        raise ValueError(f"rightmost {value} is not at a corner")
+    rows[r].pop()
+    if not rows[r]:
+        rows.pop()
+    return Tableau(tuple(tuple(r) for r in rows))
+
+
+def remove_biggest(t: Tableau, count: int) -> Tableau:
+    """Remove the ``count`` largest entries, rightmost copies first."""
+    for _ in range(count):
+        t = remove_rightmost(t, max(t.entries()))
+    return t
+
+
+# ---------------------------------------------------------------------------
+# trace tables
+
+
+def trace_tables(m: Matrix) -> tuple[list[Tableau], list[Tableau]]:
+    """The insertion and recording traces ``(P_q, V_q)`` for ``q = 0..m'``.
+
+    ``P_q`` row-inserts the reversed bottom line one letter at a time from the
+    right end of the two-line array.  ``V_q`` follows the same walk but
+    inserts only matched partners, deleting entries as their mates close:
+    moving from ``V_(q+1)`` to ``V_q`` looks at column ``q+1 = (i, j)`` and
+    inserts ``j`` when ``i > j``, deletes the rightmost ``i`` when ``i < j``,
+    and on the diagonal splits its run of equal columns half and half.
+    """
+    top, bottom = two_line_array(m)
+    total = len(bottom)
+    p_tables = [Tableau(())] * (total + 1)
+    for q in range(total - 1, -1, -1):
+        p_tables[q] = row_insert(p_tables[q + 1], bottom[q])
+    v_tables = [Tableau(())] * (total + 1)
+    for q in range(total - 1, -1, -1):
+        i, j = top[q], bottom[q]
+        prev = v_tables[q + 1]
+        if i > j:
+            v_tables[q] = row_insert(prev, j)
+        elif i < j:
+            if max(prev.entries(), default=0) != i:
+                raise ValueError("deletion is not the largest entry")
+            v_tables[q] = remove_rightmost(prev, i)
+        else:
+            a = b = q
+            while a > 0 and (top[a - 1], bottom[a - 1]) == (i, i):
+                a -= 1
+            while b + 1 < total and (top[b + 1], bottom[b + 1]) == (i, i):
+                b += 1
+            run = b - a + 1
+            if run % 2:
+                raise ValueError("odd run of diagonal columns")
+            pos_from_right = b - q + 1
+            if pos_from_right <= run // 2:
+                v_tables[q] = row_insert(prev, i)
+            else:
+                v_tables[q] = remove_rightmost(prev, i)
+    return p_tables, v_tables
+
+
+def inverse_column_word(m: Matrix) -> tuple[int, ...]:
+    """The bottom line read right to left."""
+    return tuple(reversed(two_line_array(m)[1]))
+
+
+# ---------------------------------------------------------------------------
+# two-line-array surgery: an independent route to the same operators
+
+
+def _row_junction_multisets(m: Matrix, i: int) -> tuple[Counter, Counter]:
+    c = Counter({j + 1: m[i - 1][j] for j in range(len(m[i - 1])) if m[i - 1][j]})
+    d = Counter({j + 1: m[i][j] for j in range(len(m[i])) if m[i][j]})
+    return c, d
+
+
+def _move_unit(m: Matrix, src: int, dst: int, col: int) -> Matrix:
+    rows = [list(r) for r in m]
+    rows[src][col - 1] -= 1
+    rows[dst][col - 1] += 1
+    return matrix(rows)
+
+
+def surgery_raise_rows(m: Matrix, i: int) -> Matrix | None:
+    """Move one unit from row i+1 up to row i (1-based), in the column of
+    the largest unpaired entry under the junction bracket pairing."""
+    c, d = _row_junction_multisets(m, i)
+    _, left_d = pair_multisets(c, d)
+    if not left_d:
+        return None
+    return _move_unit(m, i, i - 1, left_d[-1])
+
+
+def surgery_lower_rows(m: Matrix, i: int) -> Matrix | None:
+    """Move one unit from row i down to row i+1, in the column of the
+    smallest unpaired entry."""
+    c, d = _row_junction_multisets(m, i)
+    left_c, _ = pair_multisets(c, d)
+    if not left_c:
+        return None
+    return _move_unit(m, i - 1, i, left_c[0])
+
+
+def _transposed(op, m: Matrix, i: int) -> Matrix | None:
+    out = op(transpose_matrix(m), i)
+    return None if out is None else transpose_matrix(out)
+
+
+def matrix_raise_surgery(m: Matrix, i: int) -> Matrix | None:
+    """Row surgery then column surgery; agrees with matrix_raise for i >= 1."""
+    step = surgery_raise_rows(m, i)
+    return None if step is None else _transposed(surgery_raise_rows, step, i)
+
+
+def matrix_lower_surgery(m: Matrix, i: int) -> Matrix | None:
+    step = surgery_lower_rows(m, i)
+    return None if step is None else _transposed(surgery_lower_rows, step, i)
+
+
+def locality_mask(m: Matrix, i: int) -> Matrix:
+    """The part of the matrix (1-based rows/columns) that junction i sees.
+
+    Rows above i vanish; inside rows i, i+1 only the lower triangle
+    survives, with the diagonal halved; below that block only the columns
+    up to i+1 remain.
+    """
+    n = len(m)
+    rows = []
+    for p in range(1, n + 1):
+        row = []
+        for q in range(1, n + 1):
+            v = m[p - 1][q - 1]
+            if p < i or (p > i + 1 and q > i + 1) or (p in (i, i + 1) and q > p):
+                row.append(0)
+            elif p in (i, i + 1) and q == p:
+                row.append(v // 2)
+            else:
+                row.append(v)
+        rows.append(row)
+    return matrix(rows)

@@ -115,9 +115,15 @@ def _row_multiset(outer: Partition, inner: Partition) -> Counter:
 
 @dataclass(frozen=True)
 class SSOT:
-    """Chain of oscillating horizontal strips, each picking up where the last ended."""
+    """Chain of oscillating horizontal strips, each picking up where the last ended.
+
+    ``inside`` is the start shape: the first strip's inside, or the shape
+    given (default empty) for a chain with no strips, which also ends there.
+    It takes no part in equality, hashing or ``repr``.
+    """
 
     strips: tuple[OscStrip, ...]
+    inside: Partition = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "strips", tuple(self.strips))
@@ -126,14 +132,12 @@ class SSOT:
                 raise ValueError(
                     f"strips do not chain: {a.outside} then inside {b.inside}"
                 )
-
-    @property
-    def inside(self) -> Partition:
-        return self.strips[0].inside if self.strips else ()
+        start = self.strips[0].inside if self.strips else normalize_partition(self.inside)
+        object.__setattr__(self, "inside", start)
 
     @property
     def outside(self) -> Partition:
-        return self.strips[-1].outside if self.strips else ()
+        return self.strips[-1].outside if self.strips else self.inside
 
     @property
     def length(self) -> int:
@@ -244,7 +248,7 @@ def enumerate_ssot(
     def rec(k: int, cur: Partition, acc: list[OscStrip]) -> None:
         if k == m:
             if outside is None or cur == outside:
-                out.append(SSOT(tuple(acc)))
+                out.append(SSOT(tuple(acc), inside))
             return
         for strip in enumerate_strips(
             cur, g, None if weight is None else weight[k]

@@ -6,8 +6,10 @@ two-line array of a matrix lists each cell ``(i, j)`` with multiplicity
 equal top entries, the bottom line weakly decreases.
 
 Column insertion of ``x`` bumps the smallest entry that is at least ``x``
-(weakly) out of the current column and carries it one column to the right;
-``P(M)`` column-inserts the bottom line and ``Q(M) = P(M transposed)``.
+(weakly) out of the current column and carries it one column to the right.
+``P(M)`` column-inserts the bottom line in one pass, and ``Q(M)`` records the
+top letter of each step in the row where its new box lands; the transpose
+definition ``Q(M) = P(M transposed)`` is kept in :mod:`sympcrystal.oracles`.
 """
 
 from __future__ import annotations
@@ -215,14 +217,7 @@ def column_insert_word(word: Sequence[int]) -> Tableau:
 
 
 def rsk_column(m: Matrix) -> tuple[Tableau, Tableau]:
-    """The pair ``(P, Q)``: insert the bottom line; Q comes from the transpose."""
-    p = column_insert_word(two_line_array(m)[1])
-    q = column_insert_word(two_line_array(transpose_matrix(m))[1])
-    return p, q
-
-
-def rsk_column_recorded(m: Matrix) -> tuple[Tableau, Tableau]:
-    """Same pair, with Q built by recording where each new box lands."""
+    """The pair ``(P, Q)``: insert the bottom line, recording where each new box lands."""
     cols: list[list[int]] = []
     q_rows: list[list[int]] = []
     top, bottom = two_line_array(m)
@@ -250,6 +245,24 @@ def _reverse_column_extract(cols: list[list[int]], row: int, col: int) -> int:
     return x
 
 
+def _pop_largest(rows: list[list[int]]) -> tuple[int, int, int]:
+    """Remove the rightmost copy of the largest entry of a tableau's rows, which
+    must sit at a corner; return (entry, row, column), 0-based."""
+    # rows end in their largest entries and columns strictly increase, so the
+    # top row ending in the largest entry holds its rightmost copy
+    r = 0
+    for i in range(1, len(rows)):
+        if rows[i][-1] > rows[r][-1]:
+            r = i
+    value, c = rows[r][-1], len(rows[r]) - 1
+    if r + 1 < len(rows) and len(rows[r + 1]) > c:
+        raise ValueError(f"rightmost {value} is not at a corner")
+    rows[r].pop()
+    if not rows[r]:
+        rows.pop()
+    return value, r, c
+
+
 def rsk_column_inverse(
     p: Tableau, q: Tableau, nrows: int | None = None, ncols: int | None = None
 ) -> Matrix:
@@ -264,24 +277,13 @@ def rsk_column_inverse(
     q_rows = [list(r) for r in q.rows]
     pairs: list[tuple[int, int]] = []
     for _ in range(p.size):
-        best_val = best_r = best_c = -1
-        for r, row in enumerate(q_rows):
-            if not row:
-                continue
-            c = len(row) - 1
-            v = row[c]  # row max sits at the end
-            if v > best_val or (v == best_val and c > best_c):
-                best_val, best_r, best_c = v, r, c
-        if best_r + 1 < len(q_rows) and len(q_rows[best_r + 1]) > best_c:
-            raise ValueError("recording tableau has no removable corner")
-        q_rows[best_r].pop()
-        letter = _reverse_column_extract(cols, best_r, best_c)
-        pairs.append((best_val, letter))
+        value, r, c = _pop_largest(q_rows)
+        pairs.append((value, _reverse_column_extract(cols, r, c)))
     return matrix_from_pairs(pairs, nrows, ncols)
 
 
 # ---------------------------------------------------------------------------
-# row insertion (used by the rotation identity and the trace recursions)
+# row insertion (used by the rotation identity and the bijection phi)
 
 
 def _row_bump(rows: list[list[int]], x: int) -> tuple[int, int]:
@@ -328,17 +330,15 @@ def rsk_row(pairs: Iterable[tuple[int, int]]) -> tuple[Tableau, Tableau]:
     )
 
 
-def reverse_row_insert(t: Tableau, row: int) -> tuple[Tableau, int]:
-    """Undo a row insertion that ended in ``row`` (1-based); return (tableau, letter).
+def _reverse_row_bump(rows: list[list[int]], r: int) -> int:
+    """Undo a row insertion whose new box ended row ``r`` (0-based); return the letter.
 
     The cell removed is the last box of that row, which must be a corner.
     """
-    rows = [list(r) for r in t.rows]
-    r = row - 1
     if r < 0 or r >= len(rows):
-        raise ValueError(f"no row {row}")
+        raise ValueError(f"no row {r + 1}")
     if r + 1 < len(rows) and len(rows[r + 1]) >= len(rows[r]):
-        raise ValueError(f"row {row} does not end at a corner")
+        raise ValueError(f"row {r + 1} does not end at a corner")
     x = rows[r].pop()
     if not rows[r]:
         rows.pop()
@@ -348,7 +348,7 @@ def reverse_row_insert(t: Tableau, row: int) -> tuple[Tableau, int]:
         if pos < 0:
             raise ValueError("reverse insertion fell off a row")
         x, rowr[pos] = rowr[pos], x
-    return Tableau(tuple(tuple(r) for r in rows)), x
+    return x
 
 
 def complemented_row_pairs(m: Matrix) -> list[tuple[int, int]]:
@@ -365,40 +365,16 @@ def complemented_row_pairs(m: Matrix) -> list[tuple[int, int]]:
     return pairs
 
 
-def remove_rightmost(t: Tableau, value: int) -> Tableau:
-    """Remove the rightmost cell holding ``value``; it must sit at a corner."""
-    rows = [list(r) for r in t.rows]
-    best: tuple[int, int] | None = None
-    for r, row in enumerate(rows):
-        for c, v in enumerate(row):
-            if v == value and (best is None or c > best[1]):
-                best = (r, c)
-    if best is None:
-        raise ValueError(f"{value} does not appear")
-    r, c = best
-    if c != len(rows[r]) - 1 or (r + 1 < len(rows) and len(rows[r + 1]) > c):
-        raise ValueError(f"rightmost {value} is not at a corner")
-    rows[r].pop()
-    if not rows[r]:
-        rows.pop()
-    return Tableau(tuple(tuple(r) for r in rows))
-
-
-def remove_biggest(t: Tableau, count: int) -> Tableau:
-    """Remove the ``count`` largest entries, rightmost copies first."""
-    for _ in range(count):
-        t = remove_rightmost(t, max(t.entries()))
-    return t
-
-
 # ---------------------------------------------------------------------------
 # the column statistic
 
 
 def c_index(m: Matrix) -> int:
     """Number of columns of ``P(m)``."""
-    p = rsk_column(m)[0]
-    return p.shape[0] if p.rows else 0
+    cols: list[list[int]] = []
+    for x in two_line_array(m)[1]:
+        _column_bump(cols, x)
+    return len(cols)
 
 
 def longest_weakly_decreasing(seq: Sequence[int]) -> int:

@@ -12,13 +12,11 @@ from collections import Counter
 import pytest
 
 from sympcrystal.bijections import (
-    inverse_column_word,
     phi,
     phi_inverse,
     psi,
     psi_inverse,
     standardized_word,
-    trace_tables,
 )
 from sympcrystal.characters import (
     LaurentCharacter,
@@ -46,6 +44,7 @@ from sympcrystal.crystal import (
     stembridge_violations,
     strip_pair_multisets,
 )
+from sympcrystal.oracles import inverse_column_word, trace_tables
 from sympcrystal.oscillating import SSOT, OscStrip, enumerate_ssot, ssot_from_text
 from sympcrystal.rsk import (
     c_index,

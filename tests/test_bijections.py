@@ -2,20 +2,18 @@ import pytest
 
 from sympcrystal.bijections import (
     block_of,
-    inverse_column_word,
     phi,
     phi_inverse,
     psi,
     psi_inverse,
     standardized_word,
-    trace_tables,
 )
+from sympcrystal.oracles import inverse_column_word, remove_biggest, trace_tables
 from sympcrystal.oscillating import SSOT, OscStrip, enumerate_ssot, ssot_from_text
 from sympcrystal.rsk import (
     c_index,
     enumerate_admissible,
     matrix,
-    remove_biggest,
     rsk_column,
 )
 from sympcrystal.tableaux import (

@@ -271,6 +271,10 @@ def test_conjecture_table_totals():
     table = conjecture_table((1,), (1,), 2)
     assert table == Counter({(2,): 1, (1, 1): 1, (): 1})
     assert conjecture_table((), (), 3) == Counter({(): 1})
+    # no strips: the chain stays at conj(lam), whatever m allows
+    for lam in [(1,), (2,), (2, 1), (1, 1, 1), (3, 2)]:
+        for m in (1, 2, 3):
+            assert conjecture_table(lam, (), m) == Counter({lam: 1})
 
 
 def test_conjecture_verify_anchor():

@@ -278,6 +278,14 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert target.read_text() == "1\n1b\ncount 2\n"
 
 
+def test_unwritable_output_is_usage_error(capsys, monkeypatch, tmp_path):
+    code, out, err = run_with_stdin(
+        capsys, monkeypatch, "2,0;0,2", "map", "phi-inv",
+        "--output", str(tmp_path / "missing" / "out.txt"),
+    )
+    assert (code, out) == (2, "") and err.startswith("usage error: cannot write --output")
+
+
 def test_byte_determinism(capsys):
     argv = ["crystal", "graph", "--mu", "[1]", "--m", "2", "--g", "2"]
     _, first, _ = run_cli(capsys, *argv)

@@ -17,13 +17,10 @@ from sympcrystal.crystal import (
     decompose,
     graph_to_adjacency,
     graph_to_dot,
-    locality_mask,
     matrix_eps,
     matrix_lower,
-    matrix_lower_surgery,
     matrix_phi,
     matrix_raise,
-    matrix_raise_surgery,
     matrix_weight,
     multiset_down,
     multiset_up,
@@ -38,6 +35,7 @@ from sympcrystal.crystal import (
     stembridge_violations,
     strip_pair_multisets,
 )
+from sympcrystal.oracles import locality_mask, matrix_lower_surgery, matrix_raise_surgery
 from sympcrystal.oscillating import SSOT, OscStrip, enumerate_ssot, ssot_from_text
 from sympcrystal.rsk import enumerate_admissible, matrix, rsk_column
 from sympcrystal.tableaux import (

@@ -130,6 +130,19 @@ def test_ssot_chain_must_connect():
         SSOT((OscStrip((), (1,)), OscStrip((), (1,))))
 
 
+def test_stripless_chain_keeps_its_start_shape():
+    (fixed,) = enumerate_ssot((2,), 0, 2, inside=(2,))
+    (every,) = enumerate_ssot(None, 0, 2, inside=(2,))
+    for t in (fixed, every):
+        assert (t.inside, t.outside, t.chain()) == ((2,), (2,), ((2,),))
+    assert enumerate_ssot((), 0, 2, inside=(2,)) == []
+    assert SSOT(()).outside == ()
+    # a nonempty chain starts at its first strip; eq, hash and str ignore the field
+    t = running_example()
+    same = SSOT(t.strips, t.strips[0].inside)
+    assert (same, hash(same), str(same), repr(same)) == (t, hash(t), str(t), repr(t))
+
+
 def test_ssot_replace():
     t = running_example()
     new = OscStrip((), (1,))

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympcrystal.oracles import rsk_column_transpose
 from sympcrystal.rsk import (
+    _reverse_row_bump,
     c_index,
     column_insert,
     column_insert_word,
@@ -16,13 +18,11 @@ from sympcrystal.rsk import (
     matrix,
     matrix_from_pairs,
     parse_matrix,
-    reverse_row_insert,
     rotate180,
     row_insert,
     row_insert_word,
     rsk_column,
     rsk_column_inverse,
-    rsk_column_recorded,
     rsk_row,
     symmetric_even_diagonal,
     transpose_matrix,
@@ -94,8 +94,15 @@ def test_column_insert_steps():
 
 
 def test_recorded_matches_transpose_definition():
-    for m in matrices_with_sum(3, 3, 4):
-        assert rsk_column_recorded(m) == rsk_column(m)
+    for nrows in (1, 2, 3, 4):
+        for ncols in (1, 2, 3, 4):
+            for m in matrices_with_sum(nrows, ncols, 4):
+                p, q = rsk_column_transpose(m)
+                assert rsk_column(m) == (p, q)
+                width = p.shape[0] if p.rows else 0
+                assert c_index(m) == width == longest_weakly_decreasing(
+                    two_line_array(m)[1]
+                )
 
 
 def test_row_insert_known():
@@ -110,11 +117,11 @@ def test_row_insert_known():
 
 
 def test_reverse_row_insert():
-    t = row_insert_word((1, 2, 3, 1))
-    t2, x = reverse_row_insert(t, 2)
-    assert x == 1 and t2 == row_insert_word((1, 2, 3))
+    rows = [list(r) for r in row_insert_word((1, 2, 3, 1)).rows]
+    x = _reverse_row_bump(rows, 1)
+    assert x == 1 and Tableau(rows) == row_insert_word((1, 2, 3))
     with pytest.raises(ValueError):
-        reverse_row_insert(Tableau(((1, 1), (2, 2))), 1)  # not a corner
+        _reverse_row_bump([[1, 1], [2, 2]], 0)  # not a corner
 
 
 @given(st.lists(st.integers(1, 5), max_size=8))
