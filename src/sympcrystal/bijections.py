@@ -105,16 +105,6 @@ def standardized_word(m: Matrix) -> tuple[int, ...]:
     return tuple(out)
 
 
-def block_of(q: int, alpha: tuple[int, ...]) -> int:
-    """The block index ``i`` with ``beta_{i-1} < q <= beta_i`` (1-based)."""
-    total = 0
-    for i, a in enumerate(alpha, start=1):
-        total += a
-        if q <= total:
-            return i
-    raise ValueError(f"{q} exceeds the total weight {total}")
-
-
 # ---------------------------------------------------------------------------
 # oscillating tableaux <-> symmetric matrices
 
@@ -134,10 +124,11 @@ def phi(t: SSOT) -> Matrix:
             rows.append([k])
         else:
             rows[s - 1].append(k)
-    alpha = t.weight()
+    # block[q - 1] is the 0-based strip that letter q belongs to
+    block = [b for b, a in enumerate(t.weight()) for _ in range(a)]
     grid = [[0] * t.length for _ in range(t.length)]
     for q in range(1, len(word) + 1):
-        grid[block_of(q, alpha) - 1][block_of(mate[q], alpha) - 1] += 1
+        grid[block[q - 1]][block[mate[q] - 1]] += 1
     return matrix(grid)
 
 

@@ -16,6 +16,7 @@ from .oscillating import SSOT, OscStrip
 from .rsk import (
     Matrix,
     c_index,
+    is_admissible,
     matrix,
     row_sums,
     rsk_column,
@@ -229,11 +230,21 @@ def ssot_stats(t: SSOT, i: int, g: int) -> tuple[int, int]:
 # operators on nonnegative-integer matrices
 
 
-def _matrix_op_checks(m: Matrix, i: int, g: int) -> None:
+def _checked_insertion(m: Matrix, i: int, g: int) -> tuple[Tableau, Tableau] | None:
+    """Reject a matrix outside the crystal or a bad index; return the pair
+    ``(P, Q)`` for i >= 1, None at index 0 (which inserts nothing)."""
+    if not is_admissible(m):
+        raise ValueError("matrix must be symmetric with even diagonal")
     if not 0 <= i <= len(m) - 1:
         raise ValueError(f"index {i} out of range for a {len(m)}-row matrix")
-    if c_index(m) > 2 * g:
+    if i == 0:
+        pair, width = None, c_index(m)
+    else:
+        pair = rsk_column(m)
+        width = len(pair[0].rows[0]) if pair[0].rows else 0
+    if width > 2 * g:
         raise ValueError("matrix has more than 2g weakly decreasing positions")
+    return pair
 
 
 def _adjust_corner(m: Matrix, delta: int) -> Matrix:
@@ -245,11 +256,10 @@ def _adjust_corner(m: Matrix, delta: int) -> Matrix:
 def matrix_raise(m: Matrix, i: int, g: int) -> Matrix | None:
     """Index 0 removes two units from the top-left entry; index i >= 1 acts
     through the type-A raise on both insertion and recording tableaux."""
-    _matrix_op_checks(m, i, g)
-    if i == 0:
+    pair = _checked_insertion(m, i, g)
+    if pair is None:
         return _adjust_corner(m, -2) if m[0][0] >= 2 else None
-    p, q = rsk_column(m)
-    p2, q2 = ssyt_raise(p, i), ssyt_raise(q, i)
+    p2, q2 = ssyt_raise(pair[0], i), ssyt_raise(pair[1], i)
     if p2 is None or q2 is None:
         return None
     return rsk_column_inverse(p2, q2, len(m), len(m[0]))
@@ -258,29 +268,26 @@ def matrix_raise(m: Matrix, i: int, g: int) -> Matrix | None:
 def matrix_lower(m: Matrix, i: int, g: int) -> Matrix | None:
     """Index 0 adds two units to the top-left entry (None when that would
     push the tableau pair past 2g columns); index i >= 1 lowers both."""
-    _matrix_op_checks(m, i, g)
-    if i == 0:
+    pair = _checked_insertion(m, i, g)
+    if pair is None:
         out = _adjust_corner(m, 2)
         return out if c_index(out) <= 2 * g else None
-    p, q = rsk_column(m)
-    p2, q2 = ssyt_lower(p, i), ssyt_lower(q, i)
+    p2, q2 = ssyt_lower(pair[0], i), ssyt_lower(pair[1], i)
     if p2 is None or q2 is None:
         return None
     return rsk_column_inverse(p2, q2, len(m), len(m[0]))
 
 
 def matrix_eps(m: Matrix, i: int, g: int) -> int:
-    _matrix_op_checks(m, i, g)
-    if i == 0:
-        return m[0][0] // 2
-    return ssyt_eps(rsk_column(m)[0], i)
+    pair = _checked_insertion(m, i, g)
+    return m[0][0] // 2 if pair is None else ssyt_eps(pair[0], i)
 
 
 def matrix_phi(m: Matrix, i: int, g: int) -> int:
-    _matrix_op_checks(m, i, g)
-    if i == 0:
+    pair = _checked_insertion(m, i, g)
+    if pair is None:
         return m[0][0] // 2 + g - row_sums(m)[0]
-    return ssyt_phi(rsk_column(m)[0], i)
+    return ssyt_phi(pair[0], i)
 
 
 def matrix_weight(m: Matrix, g: int) -> Weight:

@@ -6,9 +6,13 @@ partition at every step, with both skew pieces horizontal strips.  It is
 stored as the inside shape plus the signed word of row indices: ``+r`` adds a
 box in row ``r``, ``-r`` removes one, and the word weakly decreases as signed
 ints — which makes it the unique such word for its (inside, peak, outside)
-triple.  Construction replays the word once to validate it and stores the
-peak (``star``) and ``outside`` shapes it reaches; they take no part in
-equality, hashing or ``repr``.
+triple.  Construction replays the word once on a list of row lengths, with
+an O(1) check per box step, and stores the peak (``star``) and ``outside``
+shapes it reaches; they take no part in equality, hashing or ``repr``.
+``from_partitions`` reads the word off the row differences, constructs the
+strip, and checks that it landed on the given peak and outside: a weakly
+decreasing word replays through partitions only when both of its pieces are
+horizontal strips, so no separate strip test is needed.
 
 A semistandard oscillating tableau (SSOT) is a chain of these strips, each
 starting where the previous one ended.
@@ -22,14 +26,26 @@ from typing import Iterator
 
 from .tableaux import (
     Partition,
-    add_box,
     format_letter,
     interlacing_partitions,
-    is_horizontal_strip,
     normalize_partition,
     parse_letter,
-    remove_box,
 )
+
+
+def _box_step(rows: list[int], s: int) -> None:
+    """Add a box to row ``s`` (``s > 0``) or remove one from row ``-s`` of the
+    row lengths ``rows``, in place; ValueError unless a partition results."""
+    r = abs(s) - 1
+    if s > 0 and (r > len(rows) or 0 < r < len(rows) and rows[r] == rows[r - 1]):
+        raise ValueError(f"cannot add a box to row {s} of {tuple(rows)}")
+    if s < 0 and (r >= len(rows) or r + 1 < len(rows) and rows[r] == rows[r + 1]):
+        raise ValueError(f"cannot remove a box from row {-s} of {tuple(rows)}")
+    if r == len(rows):
+        rows.append(0)
+    rows[r] += 1 if s > 0 else -1
+    if not rows[r]:
+        rows.pop()
 
 
 @dataclass(frozen=True)
@@ -41,23 +57,28 @@ class OscStrip:
 
     def __post_init__(self):
         object.__setattr__(self, "inside", normalize_partition(self.inside))
-        object.__setattr__(self, "word", tuple(int(x) for x in self.word))
-        if any(a < b for a, b in zip(self.word, self.word[1:])):
+        object.__setattr__(self, "word", tuple(map(int, self.word)))
+        if list(self.word) != sorted(self.word, reverse=True):
             raise ValueError(f"word {self.word} is not weakly decreasing")
-        if any(x == 0 for x in self.word):
+        if 0 in self.word:
             raise ValueError("0 is not a row index")
-        shapes = self.sequence()  # replay to validate every step
-        peak = sum(1 for s in self.word if s > 0)
-        object.__setattr__(self, "star", shapes[peak])
-        object.__setattr__(self, "outside", shapes[-1])
+        rows = list(self.inside)
+        star = None
+        for s in self.word:
+            if s < 0 and star is None:
+                star = tuple(rows)
+            _box_step(rows, s)
+        outside = tuple(rows)
+        object.__setattr__(self, "star", outside if star is None else star)
+        object.__setattr__(self, "outside", outside)
 
     def sequence(self) -> tuple[Partition, ...]:
         """Every partition the strip touches, inside first."""
+        rows = list(self.inside)
         shapes = [self.inside]
-        cur = self.inside
         for s in self.word:
-            cur = add_box(cur, s) if s > 0 else remove_box(cur, -s)
-            shapes.append(cur)
+            _box_step(rows, s)
+            shapes.append(tuple(rows))
         return tuple(shapes)
 
     @property
@@ -80,17 +101,19 @@ class OscStrip:
     def from_partitions(
         cls, inside: Partition, star: Partition, outside: Partition
     ) -> "OscStrip":
-        """The unique strip with this inside, peak, and outside."""
-        inside = normalize_partition(inside)
-        star = normalize_partition(star)
-        outside = normalize_partition(outside)
-        if not is_horizontal_strip(star, inside):
-            raise ValueError(f"{star}/{inside} is not a horizontal strip")
-        if not is_horizontal_strip(star, outside):
-            raise ValueError(f"{star}/{outside} is not a horizontal strip")
-        return cls.from_row_multisets(
-            inside, _row_multiset(star, inside), _row_multiset(star, outside)
-        )
+        """The unique strip with this inside, peak, and outside; ValueError if none."""
+        star, outside = normalize_partition(star), normalize_partition(outside)
+        n = len(star)
+        below, above = tuple(inside) + (0,) * n, outside + (0,) * n
+        word: list[int] = []
+        for r in range(n, 0, -1):
+            word += [r] * (star[r - 1] - below[r - 1])
+        for r in range(1, n + 1):
+            word += [-r] * (star[r - 1] - above[r - 1])
+        strip = cls(inside, word)
+        if (strip.star, strip.outside) != (star, outside):
+            raise ValueError(f"{strip.inside}, {star}, {outside} is not a strip")
+        return strip
 
     @classmethod
     def from_row_multisets(
@@ -104,13 +127,6 @@ class OscStrip:
 
     def __str__(self) -> str:
         return "(" + " ".join(format_letter(s) for s in self.word) + ")"
-
-
-def _row_multiset(outer: Partition, inner: Partition) -> Counter:
-    inner = inner + (0,) * (len(outer) - len(inner))
-    return Counter(
-        {r + 1: outer[r] - inner[r] for r in range(len(outer)) if outer[r] > inner[r]}
-    )
 
 
 @dataclass(frozen=True)

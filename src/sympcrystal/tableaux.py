@@ -98,28 +98,6 @@ def rect_complement(mu: Partition, rows: int, cols: int) -> Partition:
     return normalize_partition(cols - padded[rows - 1 - i] for i in range(rows))
 
 
-def add_box(mu: Partition, row: int) -> Partition:
-    """Partition with one box added in ``row`` (1-based); ValueError if invalid."""
-    if row < 1 or row > len(mu) + 1:
-        raise ValueError(f"cannot add a box to row {row} of {mu}")
-    padded = list(mu) + [0] * (row - len(mu))
-    padded[row - 1] += 1
-    if row > 1 and padded[row - 1] > padded[row - 2]:
-        raise ValueError(f"cannot add a box to row {row} of {mu}")
-    return normalize_partition(padded)
-
-
-def remove_box(mu: Partition, row: int) -> Partition:
-    """Partition with one box removed from ``row`` (1-based); ValueError if invalid."""
-    if row < 1 or row > len(mu):
-        raise ValueError(f"cannot remove a box from row {row} of {mu}")
-    parts = list(mu)
-    parts[row - 1] -= 1
-    if row < len(mu) and parts[row - 1] < parts[row]:
-        raise ValueError(f"cannot remove a box from row {row} of {mu}")
-    return normalize_partition(parts)
-
-
 def partitions_in_box(rows: int, cols: int) -> Iterator[Partition]:
     """All partitions fitting in a ``rows x cols`` rectangle, lexicographically."""
 

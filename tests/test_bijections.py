@@ -1,7 +1,6 @@
 import pytest
 
 from sympcrystal.bijections import (
-    block_of,
     phi,
     phi_inverse,
     psi,
@@ -103,11 +102,6 @@ def test_psi_rejects_bad_input():
 def test_standardized_word():
     # blocks hand out their labels in decreasing order
     assert standardized_word(M_SMALL) == (6, 4, 5, 2, 3, 1)
-    assert block_of(1, (2, 2, 1, 1)) == 1
-    assert block_of(3, (2, 2, 1, 1)) == 2
-    assert block_of(6, (2, 2, 1, 1)) == 4
-    with pytest.raises(ValueError):
-        block_of(7, (2, 2, 1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,15 @@ def test_apply_matrix_locality_example(capsys, monkeypatch):
     assert out == "2,2,1,1\n2,2,0,2\n1,0,4,0\n1,2,0,2\n"
 
 
+def test_apply_rejects_non_admissible_matrix(capsys, monkeypatch):
+    code, out, err = run_with_stdin(
+        capsys, monkeypatch, "1,0;0,0",
+        "crystal", "apply", "--op", "lower", "--index", "1", "--g", "2",
+    )
+    assert code == 3 and out == ""
+    assert "symmetric with even diagonal" in err
+
+
 def test_apply_skew_inside_flag(capsys, monkeypatch):
     code, out, _ = run_with_stdin(
         capsys, monkeypatch, "(1)(1b)",

@@ -237,6 +237,24 @@ def test_matrix_rejects_wide_input():
         matrix_raise(matrix([[4]]), 0, 1)  # four columns after insertion
     with pytest.raises(ValueError):
         matrix_raise(matrix([[0, 0], [0, 0]]), 2, 1)
+    for op in (matrix_raise, matrix_lower, matrix_eps, matrix_phi):
+        with pytest.raises(ValueError, match="2g"):
+            op(matrix([[4, 0], [0, 0]]), 1, 1)  # the bound read off P at i >= 1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        matrix([[1, 0], [0, 0]]),  # odd diagonal
+        matrix([[0, 1], [0, 0]]),  # not symmetric
+        matrix([[1, 0, 0], [0, 0, 0]]),  # not square
+    ],
+)
+def test_matrix_ops_reject_non_admissible(bad):
+    for op in (matrix_raise, matrix_lower, matrix_eps, matrix_phi):
+        for i in (0, 1):
+            with pytest.raises(ValueError, match="symmetric with even diagonal"):
+                op(bad, i, 2)
 
 
 def test_matrix_raise_locality_example():

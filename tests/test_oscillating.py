@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sympcrystal.oscillating import (
     SSOT,
     OscStrip,
+    _box_step,
     drops_below,
     enumerate_ssot,
     enumerate_strips,
@@ -65,6 +66,28 @@ def test_strip_steps_must_stay_partitions():
         OscStrip((2, 2), (-1,))  # removing from row 1 breaks weak decrease
 
 
+def test_box_step():
+    def step(mu, s):
+        rows = list(mu)
+        _box_step(rows, s)
+        return tuple(rows)
+
+    assert step((2, 1), 1) == (3, 1)
+    assert step((2, 1), 2) == (2, 2)
+    assert step((2, 1), 3) == (2, 1, 1)
+    assert step((), 1) == (1,)
+    with pytest.raises(ValueError):
+        step((2, 2), 2)  # row 2 would overtake row 1
+    with pytest.raises(ValueError):
+        step((2, 1), 4)  # row 3 is still empty
+    assert step((2, 2), -2) == (2, 1)
+    assert step((1,), -1) == ()
+    with pytest.raises(ValueError):
+        step((2, 2), -1)  # row 1 would fall below row 2
+    with pytest.raises(ValueError):
+        step((1,), -2)  # row 2 is empty
+
+
 def test_from_partitions_known():
     s = OscStrip.from_partitions((1,), (2, 1), (2,))
     assert s.word == (2, 1, -2)
@@ -72,6 +95,21 @@ def test_from_partitions_known():
     assert t.word == (1, 1, -1, -1)
     with pytest.raises(ValueError):
         OscStrip.from_partitions((), (1, 1), ())  # vertical, not horizontal
+
+
+def test_from_partitions_matches_horizontal_strip_checks():
+    box = list(partitions_in_box(3, 3))
+    for inside in box:
+        for star in box:
+            for outside in box:
+                if is_horizontal_strip(star, inside) and is_horizontal_strip(
+                    star, outside
+                ):
+                    s = OscStrip.from_partitions(inside, star, outside)
+                    assert (s.inside, s.star, s.outside) == (inside, star, outside)
+                else:
+                    with pytest.raises(ValueError):
+                        OscStrip.from_partitions(inside, star, outside)
 
 
 @given(strips())

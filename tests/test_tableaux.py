@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from sympcrystal.tableaux import (
     KingTableau,
     Tableau,
-    add_box,
     add_weights,
     conjugate,
     contains,
@@ -28,7 +27,6 @@ from sympcrystal.tableaux import (
     partitions_of,
     rank_letter,
     rect_complement,
-    remove_box,
     simple_root,
     tableaux_of_shape,
     weight_to_partition,
@@ -105,18 +103,6 @@ def test_rect_complement_involution(mu):
     comp = rect_complement(mu, rows, cols)
     assert rect_complement(comp, rows, cols) == mu
     assert sum(mu) + sum(comp) == rows * cols
-
-
-def test_add_remove_box():
-    assert add_box((2, 1), 1) == (3, 1)
-    assert add_box((2, 1), 2) == (2, 2)
-    assert add_box((2, 1), 3) == (2, 1, 1)
-    with pytest.raises(ValueError):
-        add_box((2, 2), 2)  # row 2 would overtake row 1
-    assert remove_box((2, 2), 2) == (2, 1)
-    assert remove_box((1,), 1) == ()
-    with pytest.raises(ValueError):
-        remove_box((2, 2), 1)
 
 
 def test_partitions_in_box():
