@@ -1,18 +1,19 @@
 """Exact characters for the symplectic group on m tracks of variables.
 
 Everything lives in the Laurent ring Z[x_1^{+-1}, ..., x_m^{+-1}] with integer
-coefficients throughout; there is no floating point anywhere.  The irreducible
-characters come from two independent routes (tableau generating sums and the
-determinant ratio) so that each can audit the other.
+coefficients throughout; there is no floating point anywhere.  Production code
+builds irreducible characters as tableau sums (``king_character``) and
+decomposes without them; the determinant ratio ``weyl_character`` is the
+reference route that the tests and ``verify characters`` check both against.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
-from .crystal import pair_multisets, strip_pair_multisets
+from .crystal import ssot_stats
 from .oscillating import SSOT, enumerate_ssot, enumerate_strips
 from .tableaux import (
     Partition,
@@ -103,16 +104,9 @@ class LaurentCharacter:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _monomial_sum(exponents) -> LaurentCharacter:
-    acc: Counter = Counter()
-    for e in exponents:
-        acc[tuple(e)] += 1
-    return LaurentCharacter(acc)
-
-
 def king_character(lam: Partition, m: int) -> LaurentCharacter:
     """Generating sum of the weights of the King tableaux of this shape."""
-    return _monomial_sum(king_weight(t, m) for t in enumerate_king(lam, m))
+    return LaurentCharacter(Counter(king_weight(t, m) for t in enumerate_king(lam, m)))
 
 
 def _odd_determinant(powers: tuple[int, ...]) -> LaurentCharacter:
@@ -120,11 +114,7 @@ def _odd_determinant(powers: tuple[int, ...]) -> LaurentCharacter:
     m = len(powers)
     out: dict = {}
     for perm in permutations(range(m)):
-        sign = 1
-        for i in range(m):
-            for j in range(i + 1, m):
-                if perm[i] > perm[j]:
-                    sign = -sign
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
         for signs in product((1, -1), repeat=m):
             e = [0] * m
             c = sign
@@ -137,19 +127,26 @@ def _odd_determinant(powers: tuple[int, ...]) -> LaurentCharacter:
 
 
 def _divide_exact(num: LaurentCharacter, den: LaurentCharacter) -> LaurentCharacter:
-    """Quotient in the Laurent ring; raises unless the division is exact."""
+    """Quotient in the Laurent ring; raises unless the division is exact.
+
+    Degrees in each x_k add, so an exact quotient keeps every exponent in the
+    box [min_k num - min_k den, max_k num - max_k den].  Each step's exponent
+    is below the last one and must stay in that finite box, so the loop ends.
+    """
     lead_d = max(den.terms)
     coeff_d = den.terms[lead_d]
+    num_cols, den_cols = tuple(zip(*num.terms)), tuple(zip(*den.terms))
+    box = [(min(a) - min(b), max(a) - max(b)) for a, b in zip(num_cols, den_cols)]
     rem = dict(num.terms)
     quot: dict = {}
-    for _ in range(100_000):
-        if not rem:
-            return LaurentCharacter(quot)
+    while rem:
         lead = max(rem)
         c, r = divmod(rem[lead], coeff_d)
         if r:
             raise ValueError("leading coefficients do not divide")
         e = tuple(a - b for a, b in zip(lead, lead_d))
+        if not all(lo <= v <= hi for v, (lo, hi) in zip(e, box)):
+            raise ValueError(f"quotient exponent {e} leaves the degree box; not exact")
         quot[e] = c
         for de, dc in den.terms.items():
             ne = tuple(a + b for a, b in zip(e, de))
@@ -158,12 +155,16 @@ def _divide_exact(num: LaurentCharacter, den: LaurentCharacter) -> LaurentCharac
                 rem[ne] = v
             else:
                 rem.pop(ne, None)
-    raise ValueError("division did not terminate; arguments are not a character ratio")
+    return LaurentCharacter(quot)
 
 
 @lru_cache(maxsize=None)
 def weyl_character(lam: Partition, m: int) -> LaurentCharacter:
-    """Irreducible character from the determinant ratio, computed exactly."""
+    """Irreducible character from the determinant ratio, computed exactly.
+
+    The reference route (m! * 2^m terms per determinant): only the tests and
+    ``verify characters`` call it, to check the production routes.
+    """
     lam = normalize_partition(lam)
     if len(lam) > m:
         raise ValueError(f"{lam} has more than {m} rows")
@@ -199,34 +200,37 @@ def schur_eval(mu: Partition, m: int) -> LaurentCharacter:
         counts = t.content(2 * m)
         return tuple(counts[k] - counts[m + k] for k in range(m))
 
-    return _monomial_sum(exponent(t) for t in tableaux_of_shape(mu, 2 * m))
+    return LaurentCharacter(Counter(exponent(t) for t in tableaux_of_shape(mu, 2 * m)))
 
 
 def decompose_sp(f: LaurentCharacter, m: int) -> Counter:
-    """Exact multiplicities in the irreducible-character basis.
+    """Exact multiplicities in the irreducible-character basis, in one pass.
 
-    Peels the lexicographically largest exponent, which for a signed-symmetric
-    polynomial is always a dominant weight; coefficients may be negative.
+    Weyl's formula term by term (Brauer, Racah-Speiser): a signed permutation
+    w makes v = e + rho positive and strictly decreasing, rho = (m, ..., 1),
+    and c * x^e adds sign(w) * c to sorted|v| - rho; a v with a zero or a
+    repeated |entry| lies on a wall.  Raises unless every exponent has m
+    entries and every adjacent swap and negating x_m fix f.  Returns the
+    nonzero multiplicities, largest first.
     """
-    rem = dict(f.terms)
-    out: Counter = Counter()
-    while rem:
-        lead = max(rem)
-        if any(lead[i] < lead[i + 1] for i in range(m - 1)) or (m and lead[-1] < 0):
-            raise ValueError(
-                f"leading exponent {lead} is not dominant; "
-                "input is not symmetric under signed permutations"
-            )
-        lam = normalize_partition(lead)
-        c = rem[lead]
-        out[lam] = c
-        for e, d in weyl_character(lam, m).terms.items():
-            v = rem.get(e, 0) - c * d
-            if v:
-                rem[e] = v
-            else:
-                rem.pop(e, None)
-    return out
+    rho = range(m, 0, -1)
+    acc: Counter = Counter()
+    for e, c in f.terms.items():
+        if len(e) != m:
+            raise ValueError(f"exponent {e} does not have {m} entries")
+        images = [e[:k] + (e[k + 1], e[k]) + e[k + 2 :] for k in range(m - 1)]
+        images += [e[:-1] + (-e[-1],)] if m else []
+        if any(f.terms.get(x) != c for x in images):
+            raise ValueError(f"at {e}: input is not symmetric under signed permutations")
+        v = [a + r for a, r in zip(e, rho)]
+        flips = sum(a < 0 for a in v)
+        v = [abs(a) for a in v]
+        if 0 in v or len(set(v)) < m:
+            continue
+        inversions = sum(a < b for a, b in combinations(v, 2))
+        lam = normalize_partition(a - r for a, r in zip(sorted(v, reverse=True), rho))
+        acc[lam] += -c if (flips + inversions) % 2 else c
+    return Counter({lam: acc[lam] for lam in sorted(acc, reverse=True) if acc[lam]})
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +265,9 @@ def sundaram_h_count(lam: Partition, k: int, nu: Partition) -> int:
 # the product formula harness
 
 
-def _gl_highest(t: SSOT) -> bool:
-    """No junction admits a raise, i.e. every index >= 1 has statistic zero."""
-    for i in range(1, len(t.strips)):
-        c, d = strip_pair_multisets(t, i)
-        if pair_multisets(c, d)[1]:
-            return False
-    return True
+def _gl_highest(t: SSOT, m: int) -> bool:
+    """No junction admits a raise, i.e. every index >= 1 has epsilon zero."""
+    return all(ssot_stats(t, i, m)[0] == 0 for i in range(1, len(t.strips)))
 
 
 def conjecture_table(lam: Partition, mu: Partition, m: int) -> Counter:
@@ -279,7 +279,7 @@ def conjecture_table(lam: Partition, mu: Partition, m: int) -> Counter:
     lam, mu = normalize_partition(lam), normalize_partition(mu)
     weight = conjugate(mu)
     chains = enumerate_ssot(None, len(weight), m, inside=conjugate(lam), weight=weight)
-    return Counter(conjugate(t.outside) for t in chains if _gl_highest(t))
+    return Counter(conjugate(t.outside) for t in chains if _gl_highest(t, m))
 
 
 @dataclass(frozen=True)

@@ -199,7 +199,7 @@ def char_lines(f, fmt: str):
 
 def cmd_char(args):
     if args.what == "chi":
-        return char_lines(weyl_character(parse_partition(args.lam), args.m), args.format), True
+        return char_lines(king_character(parse_partition(args.lam), args.m), args.format), True
     if args.what == "schur":
         return char_lines(schur_eval(parse_partition(args.mu), args.m), args.format), True
     if args.what == "decompose":

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from sympcrystal.characters import (
     ConjectureReport,
     LaurentCharacter,
+    _divide_exact,
     conjecture_table,
     conjecture_verify,
     decompose_sp,
@@ -81,6 +82,26 @@ def test_king_equals_weyl_small():
             assert king_character(lam, m) == weyl_character(lam, m), (m, lam)
 
 
+def test_divide_exact_rejects_inexact_ratio():
+    x1, x2 = LaurentCharacter.monomial((1, 0)), LaurentCharacter.monomial((0, 1))
+    with pytest.raises(ValueError):
+        _divide_exact(x1, x1 + x2)
+    with pytest.raises(ValueError):
+        _divide_exact(x1 * x1 + x2, x1 + x2)
+
+
+def test_divide_exact_recovers_products():
+    x1, x2 = LaurentCharacter.monomial((1, 0)), LaurentCharacter.monomial((0, 1))
+    x1_inv = LaurentCharacter.monomial((-1, 0))
+    for p, den in [
+        (x1 + x2, x1 + x2),
+        (x1 * x1 - 3 * x2 + x1_inv, x1 - x2),
+        (king_character((2, 1), 2), king_character((1,), 2)),
+        (schur_eval((2,), 2) - LaurentCharacter.one(2), x1 * x2 + x1_inv),
+    ]:
+        assert _divide_exact(p * den, den) == p
+
+
 def test_weyl_dimension_anchors():
     for lam, m, want in [
         ((1,), 1, 2),
@@ -123,6 +144,9 @@ def test_decompose_anchors():
     assert decompose_sp(f, 2) == Counter({(2,): 1, (1, 1): 1, (): 1})
     assert decompose_sp(LaurentCharacter.one(2), 2) == Counter({(): 1})
     assert decompose_sp(LaurentCharacter(), 2) == Counter()
+    assert decompose_sp(LaurentCharacter.one(0), 0) == Counter({(): 1})
+    s = schur_eval((1,), 1)
+    assert decompose_sp(s * s, 1) == Counter({(2,): 1, (): 1})
 
 
 def test_decompose_rejects_asymmetric():
@@ -130,6 +154,28 @@ def test_decompose_rejects_asymmetric():
         decompose_sp(LaurentCharacter.monomial((1, 0)), 2)
     with pytest.raises(ValueError):
         decompose_sp(LaurentCharacter.monomial((0, 0), 1) + LaurentCharacter.monomial((0, 1), 1), 2)
+    # x1 + x1^-1 is fixed by negations but not by the swap
+    with pytest.raises(ValueError, match="not symmetric under signed permutations"):
+        decompose_sp(LaurentCharacter({(1, 0): 1, (-1, 0): 1}), 2)
+    # x1 + x2 is fixed by the swap but not by negations
+    with pytest.raises(ValueError, match="not symmetric under signed permutations"):
+        decompose_sp(LaurentCharacter({(1, 0): 1, (0, 1): 1}), 2)
+    # exponents of another length are not characters on m tracks
+    for f, m in [(LaurentCharacter.one(2), 3), (LaurentCharacter.one(3), 2)]:
+        with pytest.raises(ValueError, match="entries"):
+            decompose_sp(f, m)
+
+
+def test_decompose_reconstructs_every_small_product():
+    cases = [(m, parts_upto(3, m)) for m in (1, 2)] + [(3, parts_upto(2, 3))]
+    for m, pool in cases:
+        for lam in pool:
+            for mu in pool:
+                f = king_character(lam, m) * schur_eval(mu, m)
+                rebuilt = LaurentCharacter()
+                for nu, c in decompose_sp(f, m).items():
+                    rebuilt = rebuilt + c * weyl_character(nu, m)
+                assert rebuilt == f, (m, lam, mu)
 
 
 def test_decompose_reconstructs_random_products():

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from sympcrystal import cli
+from sympcrystal.characters import weyl_character
 from sympcrystal.cli import main
 
 WORKED_KING = "2 2b / 3 3 / 3b 4 / 4 4b"
@@ -184,6 +185,28 @@ def test_char_chi_text_and_tsv(capsys):
     assert (code, out) == (0, "[1]\t1\n[-1]\t1\n")
 
 
+def test_char_chi_matches_determinant_ratio(capsys):
+    code, out, _ = run_cli(
+        capsys, "char", "chi", "--lambda", "[2,1]", "--m", "3", "--format", "tsv"
+    )
+    assert code == 0
+    assert out == "".join(
+        line + "\n" for line in cli.char_lines(weyl_character((2, 1), 3), "tsv")
+    )
+
+
+def test_char_commands_skip_determinant_ratio(capsys):
+    weyl_character.cache_clear()
+    for argv in [
+        ("char", "chi", "--lambda", "[2,1]", "--m", "3"),
+        ("char", "decompose", "--lambda", "[2]", "--mu", "[1,1]", "--m", "3"),
+        ("verify", "conjecture", "--m", "2", "--max-size", "2"),
+    ]:
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert weyl_character.cache_info().currsize == 0, argv
+
+
 def test_char_schur(capsys):
     code, out, _ = run_cli(capsys, "char", "schur", "--mu", "[2]", "--m", "1")
     assert (code, out) == (0, "x1^2 + 1 + x1^-2\n")
@@ -195,6 +218,8 @@ def test_char_decompose_product(capsys):
     )
     assert code == 0
     assert out == "[]\t1\n[1,1]\t1\n[2]\t1\n"
+    code, out, _ = run_cli(capsys, "char", "decompose", "--lambda", "[]", "--m", "0")
+    assert (code, out) == (0, "[]\t1\n")
 
 
 def test_char_pieri(capsys):
