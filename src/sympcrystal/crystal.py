@@ -2,13 +2,13 @@
 
 Index 0 is the long-root direction: it touches only the first strip of an
 oscillating tableau (equivalently the top-left matrix entry).  Indices
-1..m-1 form a type-A chain and act through a bracket pairing of row
-multisets at the junction of two consecutive strips.
+1..m-1 form a type-A chain and act through the bracket (signature) rule on
+ascending lists of signed rows at the junction of two consecutive strips.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -33,34 +33,34 @@ from .tableaux import (
 from .bijections import psi, psi_inverse
 
 # ---------------------------------------------------------------------------
-# multiset arithmetic (Counters over int)
+# multisets as ascending lists of ints
 
 
-def multiset_up(a: Counter, b: Counter) -> Counter:
-    """(a minus b) together with the overlap shifted up by one."""
-    overlap = a & b
-    return +((a - b) + Counter({k + 1: v for k, v in overlap.items()}))
+def shift_overlap(a: list[int], b: list[int], delta: int) -> list[int]:
+    """(a minus b) together with the overlap shifted by ``delta``, ascending."""
+    out, j = [], 0
+    for x in a:
+        while j < len(b) and b[j] < x:
+            j += 1
+        if j < len(b) and b[j] == x:
+            x, j = x + delta, j + 1
+        out.append(x)
+    return sorted(out)
 
 
-def multiset_down(a: Counter, b: Counter) -> Counter:
-    """(a minus b) together with the overlap shifted down by one."""
-    overlap = a & b
-    return +((a - b) + Counter({k - 1: v for k, v in overlap.items()}))
-
-
-def pair_multisets(c: Counter, d: Counter) -> tuple[list[int], list[int]]:
+def pair_multisets(c: list[int], d: list[int]) -> tuple[list[int], list[int]]:
     """Bracket-pair each q in d with some p in c, p < q; return the leftovers.
 
-    This is matching in the word that lists all elements by increasing value
-    with d-elements first at ties: scanning q upward, each q closes the
-    largest still-open p below it.  (Scanning downward instead picks a
-    matching of the same size but the wrong residue.)  Returns (unpaired c,
-    unpaired d), each ascending; every leftover on the c side is >= every
-    leftover on the d side.
+    Both multisets come as ascending lists.  This is matching in the word
+    that lists all elements by increasing value with d-elements first at
+    ties: scanning q upward, each q closes the largest still-open p below
+    it.  (Scanning downward instead picks a matching of the same size but
+    the wrong residue.)  Returns (unpaired c, unpaired d), each ascending;
+    every leftover on the c side is >= every leftover on the d side.
     """
-    avail = sorted(c.elements())
+    avail = list(c)
     left_d: list[int] = []
-    for q in sorted(d.elements()):
+    for q in d:
         k = bisect_left(avail, q) - 1
         if k >= 0:
             avail.pop(k)
@@ -128,34 +128,33 @@ def ssyt_phi(t: Tableau, i: int) -> int:
 # operators on oscillating tableaux
 
 
-def strip_pair_multisets(t: SSOT, i: int) -> tuple[Counter, Counter]:
-    """Signed row multisets compared at junction i (1-based strips i, i+1).
+def strip_pair_multisets(t: SSOT, i: int) -> tuple[list[int], list[int]]:
+    """Signed rows compared at junction i (1-based strips i, i+1), ascending.
 
     Removal rows of strip i and addition rows of strip i+1 overlap in the
     junction shape, so each side is shifted up past the other before being
-    negated/merged.  Sizes come out as the two strip sizes.
+    negated/merged.  Sizes come out as the two strip sizes.  A strip word
+    lists its additions descending, then its removals negated ascending.
     """
-    lo, hi = t.strips[i - 1], t.strips[i]
-    bar_removes = multiset_up(lo.removals(), hi.additions())
-    bar_adds = multiset_up(hi.additions(), lo.removals())
-    c = Counter(lo.additions()) + Counter({-r: v for r, v in bar_removes.items()})
-    d = Counter(bar_adds) + Counter({-r: v for r, v in hi.removals().items()})
+    lo, hi = t.strips[i - 1].word, t.strips[i].word
+    removes_lo = [-s for s in lo if s < 0]
+    adds_hi = [s for s in reversed(hi) if s > 0]
+    bar_removes = shift_overlap(removes_lo, adds_hi, 1)
+    bar_adds = shift_overlap(adds_hi, removes_lo, 1)
+    c = [-r for r in reversed(bar_removes)] + [s for s in reversed(lo) if s > 0]
+    d = [s for s in reversed(hi) if s < 0] + bar_adds
     return c, d
 
 
-def _rebuild_junction(t: SSOT, i: int, c: Counter, d: Counter) -> SSOT:
-    """Strips i, i+1 recovered from modified junction multisets."""
-    c, d = +c, +d
-    adds_lo = Counter({r: v for r, v in c.items() if r > 0})
-    bar_removes = Counter({-r: v for r, v in c.items() if r < 0})
-    bar_adds = Counter({r: v for r, v in d.items() if r > 0})
-    removes_hi = Counter({-r: v for r, v in d.items() if r < 0})
-    lo = OscStrip.from_row_multisets(
-        t.strips[i - 1].inside, adds_lo, multiset_down(bar_removes, bar_adds)
-    )
-    hi = OscStrip.from_row_multisets(
-        lo.outside, multiset_down(bar_adds, bar_removes), removes_hi
-    )
+def _rebuild_junction(t: SSOT, i: int, c: list[int], d: list[int]) -> SSOT:
+    """Strips i, i+1 recovered from modified junction lists."""
+    k, n = bisect_left(c, 0), bisect_left(d, 0)
+    bar_removes = [-r for r in reversed(c[:k])]
+    bar_adds = d[n:]
+    removes_lo = shift_overlap(bar_removes, bar_adds, -1)
+    lo = OscStrip(t.strips[i - 1].inside, c[k:][::-1] + [-r for r in removes_lo])
+    adds_hi = shift_overlap(bar_adds, bar_removes, -1)
+    hi = OscStrip(lo.outside, adds_hi[::-1] + d[:n][::-1])
     if hi.outside != t.strips[i].outside:
         raise ValueError("junction surgery changed the outer shape")
     return t.replace(i - 1, lo, hi)
@@ -190,8 +189,8 @@ def ssot_raise(t: SSOT, i: int) -> SSOT | None:
     if not left_d:
         return None
     q = left_d[-1]
-    c[q] += 1
-    d[q] -= 1
+    d.remove(q)
+    insort(c, q)
     return _rebuild_junction(t, i, c, d)
 
 
@@ -211,8 +210,8 @@ def ssot_lower(t: SSOT, i: int, g: int) -> SSOT | None:
     if not left_c:
         return None
     p = left_c[0]
-    c[p] -= 1
-    d[p] += 1
+    c.remove(p)
+    insort(d, p)
     return _rebuild_junction(t, i, c, d)
 
 

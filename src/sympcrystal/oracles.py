@@ -17,8 +17,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .crystal import pair_multisets
 from .rsk import (
     Matrix,
@@ -119,9 +117,10 @@ def inverse_column_word(m: Matrix) -> tuple[int, ...]:
 # two-line-array surgery: an independent route to the same operators
 
 
-def _row_junction_multisets(m: Matrix, i: int) -> tuple[Counter, Counter]:
-    c = Counter({j + 1: m[i - 1][j] for j in range(len(m[i - 1])) if m[i - 1][j]})
-    d = Counter({j + 1: m[i][j] for j in range(len(m[i])) if m[i][j]})
+def _row_junction_multisets(m: Matrix, i: int) -> tuple[list[int], list[int]]:
+    """Rows i, i+1 (1-based) as ascending lists of column indices, with repeats."""
+    c = [j + 1 for j, v in enumerate(m[i - 1]) for _ in range(v)]
+    d = [j + 1 for j, v in enumerate(m[i]) for _ in range(v)]
     return c, d
 
 

@@ -115,16 +115,6 @@ class OscStrip:
             raise ValueError(f"{strip.inside}, {star}, {outside} is not a strip")
         return strip
 
-    @classmethod
-    def from_row_multisets(
-        cls, inside: Partition, adds: Counter, removes: Counter
-    ) -> "OscStrip":
-        """Strip with the given addition and removal rows; raises if invalid."""
-        word = sorted(adds.elements(), reverse=True) + sorted(
-            (-r for r in removes.elements()), reverse=True
-        )
-        return cls(inside, tuple(word))
-
     def __str__(self) -> str:
         return "(" + " ".join(format_letter(s) for s in self.word) + ")"
 
@@ -252,26 +242,50 @@ def enumerate_ssot(
 
     ``outside=None`` accepts every end shape; the chains then come in the same
     order as the fixed-``outside`` calls would give them, interleaved.
-    ``weight`` fixes each strip's size when given.
+    ``weight`` fixes each strip's size when given.  The strips from each
+    (shape, size) are enumerated once per call.  For a fixed ``outside``, a
+    forward pass collects the shapes reachable at each depth and a backward
+    pass keeps those from which ``outside`` can still be reached; the walk
+    enters only kept shapes.
     """
+    if m < 0 or g < 0:
+        raise ValueError("m and g must be nonnegative")
     if outside is not None:
         outside = normalize_partition(outside)
     inside = normalize_partition(inside)
     if weight is not None and len(weight) != m:
         raise ValueError("weight length must equal the number of strips")
+    memo: dict[tuple[Partition, int | None], list[OscStrip]] = {}
+
+    def strips_from(k: int, cur: Partition) -> list[OscStrip]:
+        size = None if weight is None else weight[k]
+        if (cur, size) not in memo:
+            memo[cur, size] = enumerate_strips(cur, g, size)
+        return memo[cur, size]
+
+    keep: list[set[Partition]] | None = None
+    if outside is not None:
+        layers = [{inside}]
+        for k in range(m):
+            layers.append({s.outside for cur in layers[k] for s in strips_from(k, cur)})
+        keep = [set() for _ in range(m)] + [{outside}]
+        for k in range(m - 1, -1, -1):
+            keep[k] = {
+                cur for cur in layers[k]
+                if any(s.outside in keep[k + 1] for s in strips_from(k, cur))
+            }
     out: list[SSOT] = []
 
     def rec(k: int, cur: Partition, acc: list[OscStrip]) -> None:
         if k == m:
-            if outside is None or cur == outside:
-                out.append(SSOT(tuple(acc), inside))
+            out.append(SSOT(tuple(acc), inside))
             return
-        for strip in enumerate_strips(
-            cur, g, None if weight is None else weight[k]
-        ):
-            acc.append(strip)
-            rec(k + 1, strip.outside, acc)
-            acc.pop()
+        for strip in strips_from(k, cur):
+            if keep is None or strip.outside in keep[k + 1]:
+                acc.append(strip)
+                rec(k + 1, strip.outside, acc)
+                acc.pop()
 
-    rec(0, inside, [])
+    if keep is None or inside in keep[0]:
+        rec(0, inside, [])
     return out

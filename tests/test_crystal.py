@@ -22,9 +22,8 @@ from sympcrystal.crystal import (
     matrix_phi,
     matrix_raise,
     matrix_weight,
-    multiset_down,
-    multiset_up,
     pair_multisets,
+    shift_overlap,
     ssot_lower,
     ssot_raise,
     ssot_stats,
@@ -57,10 +56,10 @@ def running_example() -> SSOT:
 # multisets and pairing
 
 
-def test_multiset_up_anchors():
-    assert multiset_up(Counter({1: 1}), Counter({2: 1, 1: 1})) == Counter({2: 1})
-    assert multiset_up(Counter({2: 1, 1: 1}), Counter({1: 1})) == Counter({2: 2})
-    assert multiset_up(Counter(), Counter({1: 3})) == Counter()
+def test_shift_overlap_anchors():
+    assert shift_overlap([1], [1, 2], 1) == [2]
+    assert shift_overlap([1, 2], [1], 1) == [2, 2]
+    assert shift_overlap([], [1, 1, 1], 1) == []
 
 
 @given(
@@ -68,22 +67,22 @@ def test_multiset_up_anchors():
     st.lists(st.integers(1, 5), max_size=6),
 )
 def test_up_down_round_trip(a_items, b_items):
-    a, b = Counter(a_items), Counter(b_items)
-    c, d = multiset_up(a, b), multiset_up(b, a)
-    assert multiset_down(c, d) == a
-    assert multiset_down(d, c) == b
+    a, b = sorted(a_items), sorted(b_items)
+    c, d = shift_overlap(a, b, 1), shift_overlap(b, a, 1)
+    assert shift_overlap(c, d, -1) == a
+    assert shift_overlap(d, c, -1) == b
 
 
 def test_pairing_anchors():
-    left_c, left_d = pair_multisets(Counter([1, 1, -2]), Counter([2, 2, -2]))
+    left_c, left_d = pair_multisets([-2, 1, 1], [-2, 2, 2])
     assert (left_c, left_d) == ([-2], [-2])
     # rows 2 and 3 of the locality example: the downward greedy scan would
     # leave {1,3} on the d side, but the bracket residue is {1,4}
-    left_c, left_d = pair_multisets(Counter([1, 1, 2, 2, 4]), Counter([1, 3, 3, 3, 3, 4]))
+    left_c, left_d = pair_multisets([1, 1, 2, 2, 4], [1, 3, 3, 3, 3, 4])
     assert (left_c, left_d) == ([4], [1, 4])
     # a maximal matching that is not the bracket matching leaves a different
     # residue: pairing only (1,3) below is maximal yet leaves {2}/{2}
-    assert pair_multisets(Counter([1, 2]), Counter([2, 3])) == ([], [])
+    assert pair_multisets([1, 2], [2, 3]) == ([], [])
 
 
 def _cancellation_residue(c_items, d_items, rng):
@@ -110,14 +109,14 @@ def _cancellation_residue(c_items, d_items, rng):
     st.lists(st.integers(-3, 3), max_size=6),
 )
 def test_pairing_order_independence(c_items, d_items):
-    expected = pair_multisets(Counter(c_items), Counter(d_items))
+    expected = pair_multisets(sorted(c_items), sorted(d_items))
     for seed in range(3):
         got = _cancellation_residue(c_items, d_items, random.Random(seed))
         assert (sorted(expected[0]), sorted(expected[1])) == got
 
 
 def test_pairing_residue_is_separated():
-    left_c, left_d = pair_multisets(Counter([1, 1, 2, 2, 4]), Counter([1, 3, 3, 3, 3, 4]))
+    left_c, left_d = pair_multisets([1, 1, 2, 2, 4], [1, 3, 3, 3, 3, 4])
     assert all(p >= q for p in left_c for q in left_d)
 
 
@@ -159,13 +158,84 @@ def test_ssyt_mutual_inverse_exhaustive():
 def test_junction_multisets_anchor():
     t = running_example()
     c, d = strip_pair_multisets(t, 2)
-    assert sorted(c.elements()) == [-2, 1, 1]
-    assert sorted(d.elements()) == [-2, 2, 2]
+    assert c == [-2, 1, 1]
+    assert d == [-2, 2, 2]
     # the junction multisets have the two strip sizes
     for i in (1, 2, 3):
         c, d = strip_pair_multisets(t, i)
-        assert sum(c.values()) == t.strips[i - 1].size
-        assert sum(d.values()) == t.strips[i].size
+        assert len(c) == t.strips[i - 1].size
+        assert len(d) == t.strips[i].size
+
+
+# The Counter route that the list junction replaced, kept as the reference
+# for a differential test: multisets of signed rows as Counters, shifted
+# with Counter arithmetic, strips rebuilt from their row multisets.
+
+
+def _ref_multiset_up(a: Counter, b: Counter) -> Counter:
+    overlap = a & b
+    return +((a - b) + Counter({k + 1: v for k, v in overlap.items()}))
+
+
+def _ref_multiset_down(a: Counter, b: Counter) -> Counter:
+    overlap = a & b
+    return +((a - b) + Counter({k - 1: v for k, v in overlap.items()}))
+
+
+def _ref_strip_pair_multisets(t: SSOT, i: int) -> tuple[Counter, Counter]:
+    lo, hi = t.strips[i - 1], t.strips[i]
+    bar_removes = _ref_multiset_up(lo.removals(), hi.additions())
+    bar_adds = _ref_multiset_up(hi.additions(), lo.removals())
+    c = Counter(lo.additions()) + Counter({-r: v for r, v in bar_removes.items()})
+    d = Counter(bar_adds) + Counter({-r: v for r, v in hi.removals().items()})
+    return c, d
+
+
+def _ref_strip(inside, adds: Counter, removes: Counter) -> OscStrip:
+    word = sorted(adds.elements(), reverse=True) + sorted(
+        (-r for r in removes.elements()), reverse=True
+    )
+    return OscStrip(inside, tuple(word))
+
+
+def _ref_rebuild_junction(t: SSOT, i: int, c: Counter, d: Counter) -> SSOT:
+    c, d = +c, +d
+    adds_lo = Counter({r: v for r, v in c.items() if r > 0})
+    bar_removes = Counter({-r: v for r, v in c.items() if r < 0})
+    bar_adds = Counter({r: v for r, v in d.items() if r > 0})
+    removes_hi = Counter({-r: v for r, v in d.items() if r < 0})
+    lo = _ref_strip(
+        t.strips[i - 1].inside, adds_lo, _ref_multiset_down(bar_removes, bar_adds)
+    )
+    hi = _ref_strip(lo.outside, _ref_multiset_down(bar_adds, bar_removes), removes_hi)
+    if hi.outside != t.strips[i].outside:
+        raise ValueError("junction surgery changed the outer shape")
+    return t.replace(i - 1, lo, hi)
+
+
+def _ref_junction_op(t: SSOT, i: int, side: str):
+    """(eps, phi) for side "stats", else the raised or lowered tableau."""
+    c, d = _ref_strip_pair_multisets(t, i)
+    left_c, left_d = pair_multisets(sorted(c.elements()), sorted(d.elements()))
+    if side == "stats":
+        return len(left_d), len(left_c)
+    src, dst, left = (d, c, left_d[-1:]) if side == "raise" else (c, d, left_c[:1])
+    if not left:
+        return None
+    src[left[0]] -= 1
+    dst[left[0]] += 1
+    return _ref_rebuild_junction(t, i, c, d)
+
+
+@pytest.mark.parametrize("m,g", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+def test_junction_lists_match_counter_route(m, g):
+    for t in enumerate_ssot(None, m, g):
+        for i in range(1, m):
+            c, d = _ref_strip_pair_multisets(t, i)
+            assert strip_pair_multisets(t, i) == (sorted(c.elements()), sorted(d.elements()))
+            assert ssot_stats(t, i, g) == _ref_junction_op(t, i, "stats")
+            assert ssot_raise(t, i) == _ref_junction_op(t, i, "raise")
+            assert ssot_lower(t, i, g) == _ref_junction_op(t, i, "lower")
 
 
 def test_ssot_junction_ops_anchor():

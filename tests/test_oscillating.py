@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sympcrystal import oscillating
 from sympcrystal.oscillating import (
     SSOT,
     OscStrip,
@@ -268,6 +269,8 @@ def test_enumerate_ssot_weight_filter():
         ((1,), 2, 2, None),
         ((2, 1), 3, 2, (1, 2, 1)),
         ((1, 1), 3, 2, (2, 0, 2)),
+        ((), 4, 1, None),
+        ((1,), 3, 2, (0, 2, 1)),
     ],
 )
 def test_any_outside_is_the_union_of_fixed_outsides(inside, m, g, weight):
@@ -278,6 +281,38 @@ def test_any_outside_is_the_union_of_fixed_outsides(inside, m, g, weight):
         assert [t for t in every if t.outside == outside] == fixed
         total += len(fixed)
     assert total == len(every) > 0
+
+
+@pytest.mark.parametrize(
+    "outside, inside, weight",
+    [(None, (), None), ((2, 1), (), None), ((1, 1, 1), (), None), ((2,), (1,), (1, 2, 1))],
+)
+def test_enumerate_ssot_lists_strips_once_per_shape_and_size(
+    monkeypatch, outside, inside, weight
+):
+    calls = []
+
+    def counted(cur, max_cols, size=None):
+        calls.append((cur, size))
+        return enumerate_strips(cur, max_cols, size)
+
+    monkeypatch.setattr(oscillating, "enumerate_strips", counted)
+    enumerate_ssot(outside, 3, 2, inside=inside, weight=weight)
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_enumerate_ssot_unreachable_outside_is_empty():
+    # each strip adds a horizontal strip, so k strips from () reach k rows at most
+    assert enumerate_ssot((1, 1, 1), 2, 2) == []
+    assert enumerate_ssot((1,), 0, 2) == []
+    assert enumerate_ssot((2,), 1, 1, inside=(1, 1)) == []
+
+
+@pytest.mark.parametrize("m, g", [(-1, 2), (2, -1)])
+@pytest.mark.parametrize("outside", [None, ()])
+def test_enumerate_ssot_rejects_negative_parameters(outside, m, g):
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_ssot(outside, m, g)
 
 
 def test_enumerate_ssot_peak_bound():
