@@ -165,8 +165,10 @@ def _first_strip_counts(t: SSOT) -> tuple[int, int]:
         raise ValueError("index 0 acts only on tableaux that start empty")
     if not t.strips:
         raise ValueError("no strips")
-    first = t.strips[0]
-    return first.additions()[1], first.removals()[1]
+    # a strip from () adds and removes boxes in row 1 only: its letters are +-1
+    word = t.strips[0].word
+    a = word.count(1)
+    return a, len(word) - a
 
 
 def _check_junction_index(t: SSOT, i: int) -> None:
@@ -437,7 +439,14 @@ class CrystalGraph:
 def crystal_graph(crystal, seeds, indices=None) -> CrystalGraph:
     """Closure of the seeds under both operator directions.
 
-    Raises if a lowering edge fails to invert — that is never legitimate.
+    Each frontier makes two passes.  The lowering pass applies ``f`` at
+    every (vertex, index) and checks every edge x -> y it finds by
+    ``e(y, i) == x``, raising if a lowering edge fails to invert — that is
+    never legitimate.  That check is the raise at (y, i), so (y, i) is
+    marked as entered.  The raising pass then applies ``e`` only at the
+    (vertex, index) pairs not entered, the heads of the i-strings: anywhere
+    else ``e`` returns the source of an edge, already numbered.  On a closed
+    seed set ``e`` and ``f`` each run once per (vertex, index).
     """
     if indices is None:
         indices = crystal.indices
@@ -446,18 +455,28 @@ def crystal_graph(crystal, seeds, indices=None) -> CrystalGraph:
     for x in frontier:
         order.setdefault(x, len(order))
     edges: list[tuple[int, int, int]] = []
+    entered: set[tuple[int, int]] = set()
     while frontier:
         next_frontier = []
         for x in frontier:
+            kx = order[x]
             for i in indices:
                 y = crystal.f(x, i)
-                if y is not None:
-                    if crystal.e(y, i) != x:
-                        raise ValueError(f"lowering at {i} does not invert: {x}")
-                    if y not in order:
-                        order[y] = len(order)
-                        next_frontier.append(y)
-                    edges.append((order[x], i, order[y]))
+                if y is None:
+                    continue
+                if crystal.e(y, i) != x:
+                    raise ValueError(f"lowering at {i} does not invert: {x}")
+                if y not in order:
+                    order[y] = len(order)
+                    next_frontier.append(y)
+                ky = order[y]
+                entered.add((ky, i))
+                edges.append((kx, i, ky))
+        for x in frontier:
+            kx = order[x]
+            for i in indices:
+                if (kx, i) in entered:
+                    continue
                 z = crystal.e(x, i)
                 if z is not None and z not in order:
                     order[z] = len(order)
@@ -481,17 +500,16 @@ def decompose(graph: CrystalGraph) -> Counter:
 
 
 def graph_to_adjacency(graph: CrystalGraph, label=str) -> str:
-    lines = [
-        f"{label(graph.vertices[src])} -{i}-> {label(graph.vertices[dst])}"
-        for src, i, dst in graph.edges
-    ]
+    labels = [label(v) for v in graph.vertices]
+    lines = [f"{labels[src]} -{i}-> {labels[dst]}" for src, i, dst in graph.edges]
     return "\n".join(lines)
 
 
 def graph_to_dot(graph: CrystalGraph, label=str) -> str:
+    labels = [label(v) for v in graph.vertices]
     out = ["digraph crystal {"]
-    for k, v in enumerate(graph.vertices):
-        text = label(v).replace('"', r"\"")
+    for k, text in enumerate(labels):
+        text = text.replace('"', r"\"")
         out.append(f'  v{k} [label="{text}"];')
     for src, i, dst in graph.edges:
         out.append(f'  v{src} -> v{dst} [label="{i}"];')

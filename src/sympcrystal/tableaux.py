@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
+from operator import ge
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -33,12 +34,13 @@ Weight = tuple[int, ...]
 
 def normalize_partition(parts) -> Partition:
     """Validate weak decrease and strip trailing zeros; raise ValueError otherwise."""
-    parts = tuple(int(p) for p in parts)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    for a, b in zip(parts, parts[1:]):
-        if a < b:
-            raise ValueError(f"not weakly decreasing: {parts}")
+    parts = tuple(map(int, parts))
+    n = len(parts)
+    while n and parts[n - 1] == 0:
+        n -= 1
+    parts = parts[:n]
+    if not all(map(ge, parts, parts[1:])):
+        raise ValueError(f"not weakly decreasing: {parts}")
     if parts and parts[-1] < 0:
         raise ValueError(f"negative part in {parts}")
     return parts

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, strategies as st
@@ -265,6 +265,14 @@ def test_ssot_index0_anchor():
     assert ssot_lower(down2, 0, 3) is None
     assert ssot_raise(down, 0) == t
     assert ssot_stats(t, 0, 3) == (1, 2)
+
+
+@pytest.mark.parametrize("m,g", [(1, 3), (2, 3), (3, 3)])
+def test_ssot_index0_stats_count_the_first_strip(m, g):
+    for t in enumerate_ssot(None, m, g):
+        first = t.strips[0]
+        assert set(first.word) <= {1, -1}
+        assert ssot_stats(t, 0, g) == (first.removals()[1], g - first.additions()[1])
 
 
 def test_ssot_index0_requires_straight():
@@ -537,6 +545,96 @@ def test_matrix_graph_closure():
     assert set(g.vertices) == set(mats)
     assert len(g.components()) == 1
     assert decompose(g) == Counter({(1, 1): 1})
+
+
+def _reference_graph(crystal, seeds):
+    """The frontier closure that calls ``e`` at every (vertex, index) as well
+    as on every lowering edge; the reference for ``crystal_graph``."""
+    indices = crystal.indices
+    order: dict = {}
+    frontier = sorted(seeds, key=str)
+    for x in frontier:
+        order.setdefault(x, len(order))
+    edges = []
+    while frontier:
+        next_frontier = []
+        for x in frontier:
+            for i in indices:
+                y = crystal.f(x, i)
+                if y is not None:
+                    if crystal.e(y, i) != x:
+                        raise ValueError(f"lowering at {i} does not invert: {x}")
+                    if y not in order:
+                        order[y] = len(order)
+                        next_frontier.append(y)
+                    edges.append((order[x], i, order[y]))
+                z = crystal.e(x, i)
+                if z is not None and z not in order:
+                    order[z] = len(order)
+                    next_frontier.append(z)
+        frontier = sorted(next_frontier, key=str)
+    vertices = tuple(order)
+    return CrystalGraph(
+        vertices=vertices,
+        edges=tuple(sorted(set(edges))),
+        weights=tuple(crystal.weight(v) for v in vertices),
+        indices=tuple(indices),
+    )
+
+
+def _edge_set(graph):
+    return {(graph.vertices[a], i, graph.vertices[b]) for a, i, b in graph.edges}
+
+
+def _ambient_sets(max_m, max_g):
+    for m in range(1, max_m + 1):
+        for g in range(1, max_g + 1):
+            for mu in partitions_in_box(m, g):
+                yield m, g, enumerate_ssot(rect_complement(mu, m, g), m, g)
+
+
+def test_graph_matches_reference_on_ambient_sets():
+    for m, g, ambient in _ambient_sets(3, 3):
+        cr = SsotCrystal(m, g)
+        got, ref = crystal_graph(cr, ambient), _reference_graph(cr, ambient)
+        assert got.vertices == ref.vertices
+        assert got.edges == ref.edges
+        assert got.weights == ref.weights
+
+
+def test_graph_matches_reference_from_single_seeds():
+    for m, g, ambient in _ambient_sets(2, 2):
+        cr = SsotCrystal(m, g)
+        for seed in ambient:
+            got, ref = crystal_graph(cr, [seed]), _reference_graph(cr, [seed])
+            assert set(got.vertices) == set(ref.vertices) == set(ambient)
+            assert _edge_set(got) == _edge_set(ref)
+    for m, g, ambient in _ambient_sets(3, 3):
+        cr = SsotCrystal(m, g)
+        for seed in (ambient[0], ambient[-1]):
+            got, ref = crystal_graph(cr, [seed]), _reference_graph(cr, [seed])
+            assert set(got.vertices) == set(ref.vertices) == set(ambient)
+            assert _edge_set(got) == _edge_set(ref)
+
+
+def test_graph_applies_each_operator_once_per_vertex_and_index():
+    @dataclass(frozen=True)
+    class Counting(SsotCrystal):
+        calls: Counter = field(default_factory=Counter, compare=False)
+
+        def e(self, x, i):
+            self.calls["e"] += 1
+            return super().e(x, i)
+
+        def f(self, x, i):
+            self.calls["f"] += 1
+            return super().f(x, i)
+
+    for m, g, ambient in _ambient_sets(3, 3):
+        cr = Counting(m, g)
+        graph = crystal_graph(cr, ambient)
+        n = len(graph.vertices) * len(cr.indices)
+        assert cr.calls == Counter(e=n, f=n)
 
 
 def test_graph_detects_broken_operators():

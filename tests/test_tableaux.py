@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -56,6 +58,41 @@ def test_normalize_partition():
         normalize_partition([1, 2])
     with pytest.raises(ValueError):
         normalize_partition([2, -1])
+
+
+def _normalize_partition_reference(parts):
+    """The element-by-element body ``normalize_partition`` had before it
+    became one pass; kept as the reference for the differential test."""
+    parts = tuple(int(p) for p in parts)
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    for a, b in zip(parts, parts[1:]):
+        if a < b:
+            raise ValueError(f"not weakly decreasing: {parts}")
+    if parts and parts[-1] < 0:
+        raise ValueError(f"negative part in {parts}")
+    return parts
+
+
+def _outcome(fn, parts):
+    try:
+        return "ok", fn(parts)
+    except Exception as exc:  # the exception type and message are compared
+        return type(exc), str(exc)
+
+
+def test_normalize_partition_matches_reference():
+    cases = [
+        parts
+        for n in range(6)
+        for parts in itertools.product(range(-1, 4), repeat=n)
+    ]
+    cases += [("2",), ("x",), (3, "1", 0)]
+    for parts in cases:
+        for given_as in (tuple, list, lambda ps: (p for p in ps)):
+            assert _outcome(normalize_partition, given_as(parts)) == _outcome(
+                _normalize_partition_reference, given_as(parts)
+            ), parts
 
 
 def test_conjugate_known():
