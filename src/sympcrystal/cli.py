@@ -47,8 +47,7 @@ from .crystal import (
     ssot_lower,
     ssot_raise,
     ssot_stats,
-    matrix_eps,
-    matrix_phi,
+    matrix_stats,
     stembridge_violations,
 )
 from .oscillating import enumerate_ssot, ssot_from_text
@@ -309,7 +308,7 @@ def suite_crystal(m, g):
                 equi_ok = False
             if (None if down is None else phi(down)) != matrix_lower(mat, i, g):
                 equi_ok = False
-            if ssot_stats(t, i, g) != (matrix_eps(mat, i, g), matrix_phi(mat, i, g)):
+            if ssot_stats(t, i, g) != matrix_stats(mat, i, g):
                 equi_ok = False
     _check(rows, "crystal", "transport_equivariance", equi_ok, f"checks={checked}")
     v = stembridge_violations(SsotCrystal(m, g), corpus)
@@ -389,27 +388,26 @@ def suite_conjecture(m, max_size):
 def cmd_verify(args):
     m = args.m
     g = args.g if args.g is not None else min(m, 2)
+    sizes = {"characters": 4, "conjecture": 3}
+    if args.max_size is not None:
+        sizes = dict.fromkeys(sizes, args.max_size)
+    wanted = [s for s in ("bijections", "crystal", "characters", "conjecture")
+              if args.what in (s, "all")]
+    # every bound is checked before any suite runs
     if m > BOUNDS["m"] or g > BOUNDS["g"]:
         raise UsageError(f"verify is desk-scale: m <= {BOUNDS['m']}, g <= {BOUNDS['g']}")
+    for suite, size in sizes.items():
+        if suite in wanted and size > BOUNDS[f"max_size_{suite}"]:
+            raise UsageError(f"{suite} suite caps --max-size at {BOUNDS[f'max_size_{suite}']}")
     rows = []
-    if args.what in ("bijections", "all"):
+    if "bijections" in wanted:
         rows += suite_bijections(m, g)
-    if args.what in ("crystal", "all"):
+    if "crystal" in wanted:
         rows += suite_crystal(m, g)
-    if args.what in ("characters", "all"):
-        size = args.max_size if args.max_size is not None else 4
-        if size > BOUNDS["max_size_characters"]:
-            raise UsageError(
-                f"characters suite caps --max-size at {BOUNDS['max_size_characters']}"
-            )
-        rows += suite_characters(m, size)
-    if args.what in ("conjecture", "all"):
-        size = args.max_size if args.max_size is not None else 3
-        if size > BOUNDS["max_size_conjecture"]:
-            raise UsageError(
-                f"conjecture suite caps --max-size at {BOUNDS['max_size_conjecture']}"
-            )
-        rows += suite_conjecture(m, size)
+    if "characters" in wanted:
+        rows += suite_characters(m, sizes["characters"])
+    if "conjecture" in wanted:
+        rows += suite_conjecture(m, sizes["conjecture"])
     lines = [
         f"{suite}\t{name}\t{'PASS' if ok else 'FAIL'}\t{detail}"
         for suite, name, ok, detail in rows
@@ -466,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("graph", "decompose"):
         pg = crystal_sub.add_parser(name)
         pg.add_argument("--mu", default="[]", help="shape, like [2,1]")
-        pg.add_argument("--format", choices=["dot", "adj"], default="dot")
+        if name == "graph":
+            pg.add_argument("--format", choices=["dot", "adj"], default="dot")
         common(pg)
 
     p = sub.add_parser("char", help="exact character computations")

@@ -116,12 +116,10 @@ def ssyt_lower(t: Tableau, i: int) -> Tableau | None:
     return _ssyt_set(t, opens[0], i + 1)
 
 
-def ssyt_eps(t: Tableau, i: int) -> int:
-    return len(_ssyt_scan(t, i)[1])
-
-
-def ssyt_phi(t: Tableau, i: int) -> int:
-    return len(_ssyt_scan(t, i)[0])
+def ssyt_stats(t: Tableau, i: int) -> tuple[int, int]:
+    """(epsilon, phi): the unpaired i+1 and i counts."""
+    opens, closes = _ssyt_scan(t, i)
+    return len(closes), len(opens)
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +277,12 @@ def matrix_lower(m: Matrix, i: int, g: int) -> Matrix | None:
     return rsk_column_inverse(p2, q2, len(m), len(m[0]))
 
 
-def matrix_eps(m: Matrix, i: int, g: int) -> int:
-    pair = _checked_insertion(m, i, g)
-    return m[0][0] // 2 if pair is None else ssyt_eps(pair[0], i)
-
-
-def matrix_phi(m: Matrix, i: int, g: int) -> int:
+def matrix_stats(m: Matrix, i: int, g: int) -> tuple[int, int]:
+    """(epsilon, phi) from one insertion; index 0 reads the top row."""
     pair = _checked_insertion(m, i, g)
     if pair is None:
-        return m[0][0] // 2 + g - row_sums(m)[0]
-    return ssyt_phi(pair[0], i)
+        return m[0][0] // 2, m[0][0] // 2 + g - sum(m[0])
+    return ssyt_stats(pair[0], i)
 
 
 def matrix_weight(m: Matrix, g: int) -> Weight:
@@ -317,11 +311,8 @@ class SsotCrystal:
     def f(self, x: SSOT, i: int) -> SSOT | None:
         return ssot_lower(x, i, self.g)
 
-    def eps(self, x: SSOT, i: int) -> int:
-        return ssot_stats(x, i, self.g)[0]
-
-    def phi(self, x: SSOT, i: int) -> int:
-        return ssot_stats(x, i, self.g)[1]
+    def stats(self, x: SSOT, i: int) -> tuple[int, int]:
+        return ssot_stats(x, i, self.g)
 
     def weight(self, x: SSOT) -> Weight:
         return x.crystal_weight(self.g)
@@ -345,11 +336,8 @@ class MatrixCrystal:
     def f(self, x: Matrix, i: int) -> Matrix | None:
         return matrix_lower(x, i, self.g)
 
-    def eps(self, x: Matrix, i: int) -> int:
-        return matrix_eps(x, i, self.g)
-
-    def phi(self, x: Matrix, i: int) -> int:
-        return matrix_phi(x, i, self.g)
+    def stats(self, x: Matrix, i: int) -> tuple[int, int]:
+        return matrix_stats(x, i, self.g)
 
     def weight(self, x: Matrix) -> Weight:
         return matrix_weight(x, self.g)
@@ -377,11 +365,8 @@ class KingCrystal:
     def f(self, x: KingTableau, i: int) -> KingTableau | None:
         return self._carry(x, lambda t, j: ssot_lower(t, j, self.g), i)
 
-    def eps(self, x: KingTableau, i: int) -> int:
-        return ssot_stats(psi(x, self.m, self.g), i, self.g)[0]
-
-    def phi(self, x: KingTableau, i: int) -> int:
-        return ssot_stats(psi(x, self.m, self.g), i, self.g)[1]
+    def stats(self, x: KingTableau, i: int) -> tuple[int, int]:
+        return ssot_stats(psi(x, self.m, self.g), i, self.g)
 
     def weight(self, x: KingTableau) -> Weight:
         return king_weight(x, self.m)
@@ -399,7 +384,6 @@ class CrystalGraph:
     vertices: tuple
     edges: tuple[tuple[int, int, int], ...]
     weights: tuple[Weight, ...]
-    indices: tuple[int, ...]
     _pos: dict = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -436,59 +420,34 @@ class CrystalGraph:
         return tuple(comps)
 
 
-def crystal_graph(crystal, seeds, indices=None) -> CrystalGraph:
-    """Closure of the seeds under both operator directions.
+def crystal_graph(crystal, vertices) -> CrystalGraph:
+    """The lowering edges among ``vertices``, which must be closed under
+    ``e`` and ``f``.
 
-    Each frontier makes two passes.  The lowering pass applies ``f`` at
-    every (vertex, index) and checks every edge x -> y it finds by
-    ``e(y, i) == x``, raising if a lowering edge fails to invert — that is
-    never legitimate.  That check is the raise at (y, i), so (y, i) is
-    marked as entered.  The raising pass then applies ``e`` only at the
-    (vertex, index) pairs not entered, the heads of the i-strings: anywhere
-    else ``e`` returns the source of an edge, already numbered.  On a closed
-    seed set ``e`` and ``f`` each run once per (vertex, index).
+    Vertices are deduplicated and numbered in ``str`` order.  ``f`` runs
+    once per (vertex, index); its target must be a vertex, and every edge
+    x -> y must invert, ``e(y, i) == x``, or ``ValueError`` is raised.
+    Closure under ``e`` is not checked.  Edges come out ordered by
+    (source, index), one per lowering that applies.
     """
-    if indices is None:
-        indices = crystal.indices
-    order: dict = {}
-    frontier = sorted(seeds, key=str)
-    for x in frontier:
-        order.setdefault(x, len(order))
+    vertices = tuple(dict.fromkeys(sorted(vertices, key=str)))
+    order = {x: k for k, x in enumerate(vertices)}
     edges: list[tuple[int, int, int]] = []
-    entered: set[tuple[int, int]] = set()
-    while frontier:
-        next_frontier = []
-        for x in frontier:
-            kx = order[x]
-            for i in indices:
-                y = crystal.f(x, i)
-                if y is None:
-                    continue
-                if crystal.e(y, i) != x:
-                    raise ValueError(f"lowering at {i} does not invert: {x}")
-                if y not in order:
-                    order[y] = len(order)
-                    next_frontier.append(y)
-                ky = order[y]
-                entered.add((ky, i))
-                edges.append((kx, i, ky))
-        for x in frontier:
-            kx = order[x]
-            for i in indices:
-                if (kx, i) in entered:
-                    continue
-                z = crystal.e(x, i)
-                if z is not None and z not in order:
-                    order[z] = len(order)
-                    next_frontier.append(z)
-                    # its lowering edge back to x is recorded when z expands
-        frontier = sorted(next_frontier, key=str)
-    vertices = tuple(order)
+    for kx, x in enumerate(vertices):
+        for i in crystal.indices:
+            y = crystal.f(x, i)
+            if y is None:
+                continue
+            ky = order.get(y)
+            if ky is None:
+                raise ValueError(f"lowering at {i} leaves the vertex set: {x}")
+            if crystal.e(y, i) != x:
+                raise ValueError(f"lowering at {i} does not invert: {x}")
+            edges.append((kx, i, ky))
     return CrystalGraph(
         vertices=vertices,
-        edges=tuple(sorted(set(edges))),
+        edges=tuple(edges),
         weights=tuple(crystal.weight(v) for v in vertices),
-        indices=tuple(indices),
     )
 
 
@@ -499,14 +458,14 @@ def decompose(graph: CrystalGraph) -> Counter:
     )
 
 
-def graph_to_adjacency(graph: CrystalGraph, label=str) -> str:
-    labels = [label(v) for v in graph.vertices]
+def graph_to_adjacency(graph: CrystalGraph) -> str:
+    labels = [str(v) for v in graph.vertices]
     lines = [f"{labels[src]} -{i}-> {labels[dst]}" for src, i, dst in graph.edges]
     return "\n".join(lines)
 
 
-def graph_to_dot(graph: CrystalGraph, label=str) -> str:
-    labels = [label(v) for v in graph.vertices]
+def graph_to_dot(graph: CrystalGraph) -> str:
+    labels = [str(v) for v in graph.vertices]
     out = ["digraph crystal {"]
     for k, text in enumerate(labels):
         text = text.replace('"', r"\"")
@@ -521,16 +480,10 @@ def graph_to_dot(graph: CrystalGraph, label=str) -> str:
 # structural checks
 
 
-def iterated_eps(crystal, x, i: int) -> int:
+def string_length(op, x, i: int) -> int:
+    """How often ``op(., i)`` applies from x before returning None."""
     k = 0
-    while (x := crystal.e(x, i)) is not None:
-        k += 1
-    return k
-
-
-def iterated_phi(crystal, x, i: int) -> int:
-    k = 0
-    while (x := crystal.f(x, i)) is not None:
+    while (x := op(x, i)) is not None:
         k += 1
     return k
 
@@ -543,13 +496,13 @@ def axiom_violations(crystal, vertices) -> list[str]:
     for x in vertices:
         wx = crystal.weight(x)
         for i in crystal.indices:
-            eps, phi = crystal.eps(x, i), crystal.phi(x, i)
+            eps, phi = crystal.stats(x, i)
             alpha = simple_root(i, m)
             if phi - eps != coroot_pairing(wx, i):
                 bad.append(f"phi-eps mismatch at index {i}: {x}")
-            if eps != iterated_eps(crystal, x, i):
+            if eps != string_length(crystal.e, x, i):
                 bad.append(f"eps is not the iterated count at index {i}: {x}")
-            if phi != iterated_phi(crystal, x, i):
+            if phi != string_length(crystal.f, x, i):
                 bad.append(f"phi is not the iterated count at index {i}: {x}")
             y = crystal.e(x, i)
             if y is not None:
@@ -580,30 +533,33 @@ def stembridge_violations(crystal, vertices, indices=None) -> list[str]:
     if any(i < 1 for i in indices):
         raise ValueError("checks apply to indices >= 1 only")
     bad: list[str] = []
+    if len(indices) < 2:
+        return bad  # no pair of indices to check
     for x in vertices:
+        stats = {i: crystal.stats(x, i) for i in indices}
         for i in indices:
             for j in indices:
                 if i == j:
                     continue
                 if abs(i - j) >= 2:
-                    bad.extend(_check_distant(crystal, x, i, j))
+                    bad.extend(_check_distant(crystal, x, i, j, stats[j]))
                 else:
-                    bad.extend(_check_adjacent(crystal, x, i, j))
+                    bad.extend(_check_adjacent(crystal, x, i, j, stats[i], stats[j]))
     return bad
 
 
-def _check_distant(crystal, x, i: int, j: int) -> list[str]:
+def _check_distant(crystal, x, i: int, j: int, stats_j: tuple[int, int]) -> list[str]:
     bad = []
     y = crystal.e(x, i)
     if y is not None:
-        if crystal.eps(y, j) != crystal.eps(x, j) or crystal.phi(y, j) != crystal.phi(x, j):
+        if crystal.stats(y, j) != stats_j:
             bad.append(f"distant raise {i} moved the {j} statistics: {x}")
         z = crystal.e(x, j)
         if z is not None and crystal.e(y, j) != crystal.e(z, i):
             bad.append(f"distant raises {i},{j} do not commute: {x}")
     u = crystal.f(x, i)
     if u is not None:
-        if crystal.eps(u, j) != crystal.eps(x, j) or crystal.phi(u, j) != crystal.phi(x, j):
+        if crystal.stats(u, j) != stats_j:
             bad.append(f"distant lower {i} moved the {j} statistics: {x}")
         w = crystal.f(x, j)
         if w is not None and crystal.f(u, j) != crystal.f(w, i):
@@ -611,46 +567,54 @@ def _check_distant(crystal, x, i: int, j: int) -> list[str]:
     return bad
 
 
-def _check_adjacent(crystal, x, i: int, j: int) -> list[str]:
+def _check_adjacent(crystal, x, i: int, j: int, stats_i: tuple[int, int],
+                    stats_j: tuple[int, int]) -> list[str]:
+    """The rules at x for neighbouring indices i, j, given x's (eps, phi)
+    at i and at j."""
     bad = []
+    (eps_i, phi_i), (eps_j, phi_j) = stats_i, stats_j
     ei_x = crystal.e(x, i)
     if ei_x is not None:
-        de = crystal.eps(ei_x, j) - crystal.eps(x, j)
-        dp = crystal.phi(ei_x, j) - crystal.phi(x, j)
+        eps, phi = crystal.stats(ei_x, j)
+        de, dp = eps - eps_j, phi - phi_j
         if (de, dp) not in {(0, -1), (1, 0)}:
             bad.append(f"raise {i} broke the {j} dichotomy: {x}")
-        if de == 0 and crystal.eps(x, j) > 0:
+        if de == 0 and eps_j > 0:
             # raising i left the j statistics alone: the two raises commute
             # and raising j bumps eps_i without touching phi_i
             ej_x = crystal.e(x, j)
             if ej_x is None or crystal.e(ej_x, i) != crystal.e(ei_x, j):
                 bad.append(f"raises {i},{j} do not commute: {x}")
-            elif crystal.phi(ej_x, i) != crystal.phi(x, i):
-                bad.append(f"raise {j} moved phi_{i}: {x}")
-            elif crystal.eps(ej_x, i) != crystal.eps(x, i) + 1:
-                bad.append(f"raise {j} did not bump eps_{i}: {x}")
+            else:
+                eps, phi = crystal.stats(ej_x, i)
+                if phi != phi_i:
+                    bad.append(f"raise {j} moved phi_{i}: {x}")
+                elif eps != eps_i + 1:
+                    bad.append(f"raise {j} did not bump eps_{i}: {x}")
     ej_x = crystal.e(x, j)
-    if ej_x is not None and crystal.eps(ej_x, i) == crystal.eps(x, i) + 1:
+    if ej_x is not None and crystal.stats(ej_x, i)[0] == eps_i + 1:
         eiej = crystal.e(ej_x, i)
-        if eiej is None or crystal.eps(eiej, j) != crystal.eps(x, j) - 1:
+        if eiej is None or crystal.stats(eiej, j)[0] != eps_j - 1:
             bad.append(f"raise pair {i},{j} did not drop eps_{j}: {x}")
     fi_x = crystal.f(x, i)
     if fi_x is not None:
-        dp = crystal.phi(fi_x, j) - crystal.phi(x, j)
-        de = crystal.eps(fi_x, j) - crystal.eps(x, j)
+        eps, phi = crystal.stats(fi_x, j)
+        dp, de = phi - phi_j, eps - eps_j
         if (dp, de) not in {(0, -1), (1, 0)}:
             bad.append(f"lower {i} broke the {j} dichotomy: {x}")
-        if dp == 0 and crystal.phi(x, j) > 0:
+        if dp == 0 and phi_j > 0:
             fj_x = crystal.f(x, j)
             if fj_x is None or crystal.f(fj_x, i) != crystal.f(fi_x, j):
                 bad.append(f"lowers {i},{j} do not commute: {x}")
-            elif crystal.eps(fj_x, i) != crystal.eps(x, i):
-                bad.append(f"lower {j} moved eps_{i}: {x}")
-            elif crystal.phi(fj_x, i) != crystal.phi(x, i) + 1:
-                bad.append(f"lower {j} did not bump phi_{i}: {x}")
+            else:
+                eps, phi = crystal.stats(fj_x, i)
+                if eps != eps_i:
+                    bad.append(f"lower {j} moved eps_{i}: {x}")
+                elif phi != phi_i + 1:
+                    bad.append(f"lower {j} did not bump phi_{i}: {x}")
     fj_x = crystal.f(x, j)
-    if fj_x is not None and crystal.phi(fj_x, i) == crystal.phi(x, i) + 1:
+    if fj_x is not None and crystal.stats(fj_x, i)[1] == phi_i + 1:
         fifj = crystal.f(fj_x, i)
-        if fifj is None or crystal.phi(fifj, j) != crystal.phi(x, j) - 1:
+        if fifj is None or crystal.stats(fifj, j)[1] != phi_j - 1:
             bad.append(f"lower pair {i},{j} did not drop phi_{j}: {x}")
     return bad

@@ -36,10 +36,6 @@ def matrix(rows) -> Matrix:
     return out
 
 
-def zero_matrix(nrows: int, ncols: int) -> Matrix:
-    return tuple((0,) * ncols for _ in range(nrows))
-
-
 def transpose_matrix(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
@@ -199,13 +195,6 @@ def _column_bump(cols: list[list[int]], x: int) -> tuple[int, int]:
             return len(col) - 1, c
         x, col[pos] = col[pos], x
         c += 1
-
-
-def column_insert(t: Tableau, x: int) -> Tableau:
-    """Column-insert one letter into a tableau."""
-    cols = _cols_of(t)
-    _column_bump(cols, x)
-    return _tableau_from_cols(cols)
 
 
 def column_insert_word(word: Sequence[int]) -> Tableau:

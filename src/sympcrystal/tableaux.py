@@ -80,14 +80,6 @@ def interlacing_partitions(bounds: Iterable[tuple[int, int]]) -> Iterator[Partit
         yield tuple(p for p in parts if p)
 
 
-def is_vertical_strip(outer: Partition, inner: Partition) -> bool:
-    """True when ``outer/inner`` has at most one box in every row."""
-    if not contains(outer, inner):
-        return False
-    inner = inner + (0,) * (len(outer) - len(inner))
-    return all(outer[i] - inner[i] <= 1 for i in range(len(outer)))
-
-
 def rect_complement(mu: Partition, rows: int, cols: int) -> Partition:
     """Complement of ``mu`` inside the ``rows x cols`` rectangle.
 
@@ -130,16 +122,6 @@ def partitions_of(n: int, max_length: int | None = None) -> Iterator[Partition]:
     yield from rec(n, n, n if max_length is None else max_length)
 
 
-def dominates(lam: Partition, mu: Partition) -> bool:
-    """Dominance order: every prefix sum of ``lam`` is at least that of ``mu``."""
-    total = 0
-    for i in range(max(len(lam), len(mu))):
-        total += (lam[i] if i < len(lam) else 0) - (mu[i] if i < len(mu) else 0)
-        if total < 0:
-            return False
-    return True
-
-
 def parse_partition(text: str) -> Partition:
     """Parse ``[3,1]`` (or ``[]``) into a partition."""
     return normalize_partition(parse_int_list(text))
@@ -178,14 +160,6 @@ def weight_to_partition(w: Weight) -> Partition:
     return normalize_partition(mu)
 
 
-def partition_to_weight(mu: Partition, m: int) -> Weight:
-    """Dominant weight of rank ``m`` attached to a partition with <= m parts."""
-    if len(mu) > m:
-        raise ValueError(f"{mu} has more than {m} parts")
-    padded = mu + (0,) * (m - len(mu))
-    return tuple(reversed(padded))
-
-
 def simple_root(i: int, m: int) -> Weight:
     """Simple root ``alpha_i`` for index ``0 <= i < m`` in weight coordinates."""
     if not 0 <= i < m:
@@ -204,10 +178,6 @@ def coroot_pairing(w: Weight, i: int) -> int:
     if not 0 <= i < len(w):
         raise ValueError(f"index {i} out of range for rank {len(w)}")
     return w[0] if i == 0 else w[i] - w[i - 1]
-
-
-def add_weights(v: Weight, w: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(v, w, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +250,6 @@ class Tableau:
     def entries(self) -> Iterator[int]:
         for r in self.rows:
             yield from r
-
-    def reading_word(self) -> tuple[int, ...]:
-        """Rows read top to bottom, each row right to left."""
-        return tuple(x for r in self.rows for x in reversed(r))
 
     def content(self, m: int) -> tuple[int, ...]:
         """Multiplicity vector of the letters 1..m."""
@@ -380,13 +346,6 @@ class KingTableau:
         return normalize_partition(
             sum(1 for x in r if letter_rank(x) <= max_rank) for r in self.rows
         )
-
-    def letter_columns(self, x: int) -> set[int]:
-        """1-based column indices of the cells containing the letter ``x``."""
-        return {j + 1 for r in self.rows for j, y in enumerate(r) if y == x}
-
-    def reading_ranks(self) -> tuple[int, ...]:
-        return tuple(letter_rank(x) for r in self.rows for x in r)
 
     def __str__(self) -> str:
         return "/".join(" ".join(format_letter(x) for x in r) for r in self.rows)

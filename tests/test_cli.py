@@ -172,6 +172,13 @@ def test_crystal_decompose(capsys):
     assert (code, out) == (0, "[1,1]\t1\n")
 
 
+def test_crystal_decompose_takes_no_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["crystal", "decompose", "--mu", "[1]", "--m", "1", "--g", "1",
+              "--format", "adj"])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # characters
 
@@ -253,6 +260,20 @@ def test_verify_rejects_out_of_bounds(capsys):
         capsys, "verify", "conjecture", "--m", "2", "--max-size", "9"
     )
     assert code == 2 and "caps --max-size" in err
+
+
+def test_verify_checks_every_bound_before_any_suite(capsys, monkeypatch):
+    def not_reached(*args):
+        raise AssertionError("a suite ran before the bounds were checked")
+
+    for suite in ("suite_bijections", "suite_crystal", "suite_characters"):
+        monkeypatch.setattr(cli, suite, not_reached)
+    # --max-size 5 is within the characters cap and past the conjecture cap
+    code, out, err = run_cli(
+        capsys, "verify", "all", "--m", "3", "--g", "2", "--max-size", "5"
+    )
+    assert (code, out) == (2, "")
+    assert "conjecture suite caps --max-size at 4" in err
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

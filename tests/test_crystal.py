@@ -17,20 +17,18 @@ from sympcrystal.crystal import (
     decompose,
     graph_to_adjacency,
     graph_to_dot,
-    matrix_eps,
     matrix_lower,
-    matrix_phi,
     matrix_raise,
+    matrix_stats,
     matrix_weight,
     pair_multisets,
     shift_overlap,
     ssot_lower,
     ssot_raise,
     ssot_stats,
-    ssyt_eps,
     ssyt_lower,
-    ssyt_phi,
     ssyt_raise,
+    ssyt_stats,
     stembridge_violations,
     strip_pair_multisets,
 )
@@ -128,7 +126,7 @@ def test_ssyt_anchor():
     t = Tableau(((1, 1, 1, 2, 2), (2, 3), (3, 4)))
     assert ssyt_lower(t, 2) == Tableau(((1, 1, 1, 2, 3), (2, 3), (3, 4)))
     assert ssyt_raise(t, 2) is None
-    assert (ssyt_eps(t, 2), ssyt_phi(t, 2)) == (0, 1)
+    assert ssyt_stats(t, 2) == (0, 1)
 
 
 def test_ssyt_single_box():
@@ -147,8 +145,9 @@ def test_ssyt_mutual_inverse_exhaustive():
                 up = ssyt_raise(t, i)
                 if up is not None:
                     assert ssyt_lower(up, i) == t
-                assert (ssyt_raise(t, i) is not None) == (ssyt_eps(t, i) > 0)
-                assert (ssyt_lower(t, i) is not None) == (ssyt_phi(t, i) > 0)
+                eps, phi = ssyt_stats(t, i)
+                assert (ssyt_raise(t, i) is not None) == (eps > 0)
+                assert (ssyt_lower(t, i) is not None) == (phi > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +304,7 @@ def test_matrix_index0():
     assert matrix_lower(z, 0, 1) == matrix([[2, 0], [0, 0]])
     assert matrix_lower(matrix([[2]]), 0, 1) is None
     assert matrix_lower(matrix([[2]]), 0, 2) == matrix([[4]])
-    assert matrix_eps(matrix([[4]]), 0, 2) == 2
-    assert matrix_phi(matrix([[4]]), 0, 2) == 0
+    assert matrix_stats(matrix([[4]]), 0, 2) == (2, 0)
     assert matrix_weight(matrix([[2, 0], [0, 0]]), 1) == (-1, 1)
 
 
@@ -315,7 +313,7 @@ def test_matrix_rejects_wide_input():
         matrix_raise(matrix([[4]]), 0, 1)  # four columns after insertion
     with pytest.raises(ValueError):
         matrix_raise(matrix([[0, 0], [0, 0]]), 2, 1)
-    for op in (matrix_raise, matrix_lower, matrix_eps, matrix_phi):
+    for op in (matrix_raise, matrix_lower, matrix_stats):
         with pytest.raises(ValueError, match="2g"):
             op(matrix([[4, 0], [0, 0]]), 1, 1)  # the bound read off P at i >= 1
 
@@ -329,7 +327,7 @@ def test_matrix_rejects_wide_input():
     ],
 )
 def test_matrix_ops_reject_non_admissible(bad):
-    for op in (matrix_raise, matrix_lower, matrix_eps, matrix_phi):
+    for op in (matrix_raise, matrix_lower, matrix_stats):
         for i in (0, 1):
             with pytest.raises(ValueError, match="symmetric with even diagonal"):
                 op(bad, i, 2)
@@ -404,7 +402,7 @@ def test_phi_equivariance_exhaustive(m, g):
                 image = getattr(cr_s, side)(t, i)
                 image = None if image is None else phi_map(image)
                 assert image == getattr(cr_m, side)(mt, i)
-            assert ssot_stats(t, i, g) == (matrix_eps(mt, i, g), matrix_phi(mt, i, g))
+            assert ssot_stats(t, i, g) == matrix_stats(mt, i, g)
 
 
 @pytest.mark.parametrize("m,g", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -432,11 +430,8 @@ class _TypeA:
     def f(self, x, i):
         return ssyt_lower(x, i)
 
-    def eps(self, x, i):
-        return ssyt_eps(x, i)
-
-    def phi(self, x, i):
-        return ssyt_phi(x, i)
+    def stats(self, x, i):
+        return ssyt_stats(x, i)
 
 
 def _classical_corpus(n, max_size):
@@ -456,8 +451,9 @@ def test_stembridge_on_classical_crystal():
 
 def test_stembridge_checker_detects_lies():
     class Liar(_TypeA):
-        def eps(self, x, i):
-            return ssyt_eps(x, i) + (5 if i == 2 else 0)
+        def stats(self, x, i):
+            eps, phi = ssyt_stats(x, i)
+            return eps + (5 if i == 2 else 0), phi
 
     corpus = _classical_corpus(3, 3)
     assert stembridge_violations(Liar(3), corpus, indices=(1, 2)) != []
@@ -492,15 +488,6 @@ def test_graph_is_deterministic_and_closed():
     g2 = crystal_graph(cr, list(reversed(ambient)))
     assert g1.vertices == g2.vertices and g1.edges == g2.edges
     assert set(g1.vertices) == set(ambient)
-
-
-def test_graph_from_single_seed_recovers_component():
-    cr = SsotCrystal(2, 2)
-    ambient = set(enumerate_ssot((1,), 2, 2))
-    seed = next(iter(sorted(ambient, key=str)))
-    g = crystal_graph(cr, [seed])
-    assert set(g.vertices) == ambient
-    assert len(g.components()) == 1
 
 
 def test_highest_weight_vertex_structure():
@@ -578,12 +565,7 @@ def _reference_graph(crystal, seeds):
         vertices=vertices,
         edges=tuple(sorted(set(edges))),
         weights=tuple(crystal.weight(v) for v in vertices),
-        indices=tuple(indices),
     )
-
-
-def _edge_set(graph):
-    return {(graph.vertices[a], i, graph.vertices[b]) for a, i, b in graph.edges}
 
 
 def _ambient_sets(max_m, max_g):
@@ -602,21 +584,6 @@ def test_graph_matches_reference_on_ambient_sets():
         assert got.weights == ref.weights
 
 
-def test_graph_matches_reference_from_single_seeds():
-    for m, g, ambient in _ambient_sets(2, 2):
-        cr = SsotCrystal(m, g)
-        for seed in ambient:
-            got, ref = crystal_graph(cr, [seed]), _reference_graph(cr, [seed])
-            assert set(got.vertices) == set(ref.vertices) == set(ambient)
-            assert _edge_set(got) == _edge_set(ref)
-    for m, g, ambient in _ambient_sets(3, 3):
-        cr = SsotCrystal(m, g)
-        for seed in (ambient[0], ambient[-1]):
-            got, ref = crystal_graph(cr, [seed]), _reference_graph(cr, [seed])
-            assert set(got.vertices) == set(ref.vertices) == set(ambient)
-            assert _edge_set(got) == _edge_set(ref)
-
-
 def test_graph_applies_each_operator_once_per_vertex_and_index():
     @dataclass(frozen=True)
     class Counting(SsotCrystal):
@@ -633,8 +600,17 @@ def test_graph_applies_each_operator_once_per_vertex_and_index():
     for m, g, ambient in _ambient_sets(3, 3):
         cr = Counting(m, g)
         graph = crystal_graph(cr, ambient)
-        n = len(graph.vertices) * len(cr.indices)
-        assert cr.calls == Counter(e=n, f=n)
+        # f once per (vertex, index); e once per edge, for its inversion check
+        assert cr.calls == Counter(f=len(graph.vertices) * len(cr.indices), e=len(graph.edges))
+
+
+def test_graph_rejects_a_vertex_set_that_is_not_closed():
+    cr = SsotCrystal(2, 2)
+    ambient = sorted(enumerate_ssot((1,), 2, 2), key=str)
+    top = crystal_graph(cr, ambient).highest_weight_vertices()
+    missing = next(v for v in ambient if v not in top)
+    with pytest.raises(ValueError, match="leaves the vertex set"):
+        crystal_graph(cr, [v for v in ambient if v != missing])
 
 
 def test_graph_detects_broken_operators():

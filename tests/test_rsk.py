@@ -6,7 +6,6 @@ from sympcrystal.oracles import rsk_column_transpose
 from sympcrystal.rsk import (
     _reverse_row_bump,
     c_index,
-    column_insert,
     column_insert_word,
     complemented_row_pairs,
     enumerate_admissible,
@@ -27,7 +26,6 @@ from sympcrystal.rsk import (
     symmetric_even_diagonal,
     transpose_matrix,
     two_line_array,
-    zero_matrix,
 )
 from sympcrystal.tableaux import Tableau
 
@@ -47,7 +45,6 @@ def small_matrices(draw, max_n=4, max_entry=3):
 def test_matrix_helpers():
     assert transpose_matrix(((1, 2), (3, 4))) == ((1, 3), (2, 4))
     assert rotate180(((1, 2), (3, 4))) == ((4, 3), (2, 1))
-    assert zero_matrix(2, 3) == ((0, 0, 0), (0, 0, 0))
     assert is_symmetric(M_BIG)
     assert is_admissible(M_BIG)
     assert not is_admissible(((1,),))  # odd diagonal
@@ -89,7 +86,7 @@ def test_insertion_pair_small():
 def test_column_insert_steps():
     t = column_insert_word((4, 2, 3, 1, 2))
     assert t.rows == ((1, 2, 4), (2, 3))
-    assert column_insert(t, 1).rows == ((1, 1, 2, 4), (2, 3))
+    assert column_insert_word((4, 2, 3, 1, 2, 1)).rows == ((1, 1, 2, 4), (2, 3))
     assert column_insert_word(()) == Tableau(())
 
 
