@@ -384,9 +384,12 @@ class CrystalGraph:
     vertices: tuple
     edges: tuple[tuple[int, int, int], ...]
     weights: tuple[Weight, ...]
+    labels: tuple[str, ...] = field(compare=False, repr=False, default=None)
     _pos: dict = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
+        if self.labels is None:
+            object.__setattr__(self, "labels", tuple(map(str, self.vertices)))
         object.__setattr__(self, "_pos", {v: k for k, v in enumerate(self.vertices)})
 
     def index(self, x) -> int:
@@ -424,13 +427,15 @@ def crystal_graph(crystal, vertices) -> CrystalGraph:
     """The lowering edges among ``vertices``, which must be closed under
     ``e`` and ``f``.
 
-    Vertices are deduplicated and numbered in ``str`` order.  ``f`` runs
-    once per (vertex, index); its target must be a vertex, and every edge
-    x -> y must invert, ``e(y, i) == x``, or ``ValueError`` is raised.
-    Closure under ``e`` is not checked.  Edges come out ordered by
-    (source, index), one per lowering that applies.
+    Vertices are deduplicated and numbered in ``str`` order, each rendered
+    once; the graph keeps those strings as its labels.  ``f`` runs once per
+    (vertex, index); its target must be a vertex, and every edge x -> y must
+    invert, ``e(y, i) == x``, or ``ValueError`` is raised.  Closure under
+    ``e`` is not checked.  Edges come out ordered by (source, index), one per
+    lowering that applies.
     """
-    vertices = tuple(dict.fromkeys(sorted(vertices, key=str)))
+    text = {x: str(x) for x in dict.fromkeys(vertices)}
+    vertices = tuple(sorted(text, key=text.__getitem__))
     order = {x: k for k, x in enumerate(vertices)}
     edges: list[tuple[int, int, int]] = []
     for kx, x in enumerate(vertices):
@@ -448,6 +453,7 @@ def crystal_graph(crystal, vertices) -> CrystalGraph:
         vertices=vertices,
         edges=tuple(edges),
         weights=tuple(crystal.weight(v) for v in vertices),
+        labels=tuple(map(text.__getitem__, vertices)),
     )
 
 
@@ -459,15 +465,14 @@ def decompose(graph: CrystalGraph) -> Counter:
 
 
 def graph_to_adjacency(graph: CrystalGraph) -> str:
-    labels = [str(v) for v in graph.vertices]
+    labels = graph.labels
     lines = [f"{labels[src]} -{i}-> {labels[dst]}" for src, i, dst in graph.edges]
     return "\n".join(lines)
 
 
 def graph_to_dot(graph: CrystalGraph) -> str:
-    labels = [str(v) for v in graph.vertices]
     out = ["digraph crystal {"]
-    for k, text in enumerate(labels):
+    for k, text in enumerate(graph.labels):
         text = text.replace('"', r"\"")
         out.append(f'  v{k} [label="{text}"];')
     for src, i, dst in graph.edges:

@@ -3,6 +3,15 @@
 * :func:`rsk_column_transpose`, ``Q(M) = P(M transposed)``: compared with
   ``rsk.rsk_column`` and ``rsk.c_index`` on every matrix up to 4 x 4 of entry
   sum at most 4 (``test_rsk.py::test_recorded_matches_transpose_definition``).
+* The row route of the rotation identity, :func:`rsk_row` on
+  :func:`complemented_row_pairs` against ``rsk.rsk_column`` of
+  :func:`rotate180`, with :func:`row_insert` and :func:`row_insert_word`
+  (``test_rsk.py::test_rotation_identity_*``,
+  ``test_rsk.py::test_column_insert_is_row_insert_reversed``; acceptance
+  criterion 9).
+* :func:`longest_weakly_decreasing`, Schensted's statistic: the length of
+  the first row of ``P(M)`` (``test_rsk.py::test_schensted_statistic``;
+  acceptance criterion 9).
 * :func:`trace_tables`, :func:`inverse_column_word` and :func:`remove_biggest`:
   the ``(P_q, V_q)`` traces of ``phi_inverse`` on ``Tableau`` objects
   (the ``test_trace_*`` tests of ``test_bijections.py``; acceptance
@@ -17,12 +26,15 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from typing import Iterable, Sequence
+
 from .crystal import pair_multisets
 from .rsk import (
     Matrix,
+    _row_bump,
     column_insert_word,
     matrix,
-    row_insert,
     transpose_matrix,
     two_line_array,
 )
@@ -34,6 +46,73 @@ def rsk_column_transpose(m: Matrix) -> tuple[Tableau, Tableau]:
     p = column_insert_word(two_line_array(m)[1])
     q = column_insert_word(two_line_array(transpose_matrix(m))[1])
     return p, q
+
+
+# ---------------------------------------------------------------------------
+# row insertion and the rotation identity
+
+
+def rotate180(m: Matrix) -> Matrix:
+    return tuple(tuple(reversed(r)) for r in reversed(m))
+
+
+def row_insert(t: Tableau, x: int) -> Tableau:
+    rows = [list(r) for r in t.rows]
+    _row_bump(rows, x)
+    return Tableau(tuple(tuple(r) for r in rows))
+
+
+def row_insert_word(word: Sequence[int]) -> Tableau:
+    rows: list[list[int]] = []
+    for x in word:
+        _row_bump(rows, x)
+    return Tableau(tuple(tuple(r) for r in rows))
+
+
+def rsk_row(pairs: Iterable[tuple[int, int]]) -> tuple[Tableau, Tableau]:
+    """Row-insert the second members, recording the first at each new box."""
+    rows: list[list[int]] = []
+    q_rows: list[list[int]] = []
+    for label, x in pairs:
+        r, _ = _row_bump(rows, x)
+        if r == len(q_rows):
+            q_rows.append([])
+        q_rows[r].append(label)
+    return (
+        Tableau(tuple(tuple(r) for r in rows)),
+        Tableau(tuple(tuple(r) for r in q_rows)),
+    )
+
+
+def complemented_row_pairs(m: Matrix) -> list[tuple[int, int]]:
+    """Recorded pairs reading rows bottom-up, labels complemented to n+1-r.
+
+    Row-inserting these records the same tableau as the recording tableau of
+    the half-turn rotation of ``m``.
+    """
+    n = len(m)
+    pairs: list[tuple[int, int]] = []
+    for r in range(n, 0, -1):
+        for j, mult in enumerate(m[r - 1], start=1):
+            pairs.extend([(n + 1 - r, j)] * mult)
+    return pairs
+
+
+def longest_weakly_decreasing(seq: Sequence[int]) -> int:
+    """Length of the longest weakly decreasing subsequence."""
+    # patience sorting on the negated, weakly increasing version
+    piles: list[int] = []
+    for x in seq:
+        pos = bisect_right(piles, -x)
+        if pos == len(piles):
+            piles.append(-x)
+        else:
+            piles[pos] = -x
+    return len(piles)
+
+
+# ---------------------------------------------------------------------------
+# trace tables
 
 
 def remove_rightmost(t: Tableau, value: int) -> Tableau:
@@ -60,10 +139,6 @@ def remove_biggest(t: Tableau, count: int) -> Tableau:
     for _ in range(count):
         t = remove_rightmost(t, max(t.entries()))
     return t
-
-
-# ---------------------------------------------------------------------------
-# trace tables
 
 
 def trace_tables(m: Matrix) -> tuple[list[Tableau], list[Tableau]]:

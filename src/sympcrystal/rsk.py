@@ -15,6 +15,7 @@ definition ``Q(M) = P(M transposed)`` is kept in :mod:`sympcrystal.oracles`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .tableaux import Tableau
@@ -38,10 +39,6 @@ def matrix(rows) -> Matrix:
 
 def transpose_matrix(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
-
-
-def rotate180(m: Matrix) -> Matrix:
-    return tuple(tuple(reversed(r)) for r in reversed(m))
 
 
 def row_sums(m: Matrix) -> tuple[int, ...]:
@@ -161,24 +158,19 @@ def matrix_from_pairs(
 
 
 def _cols_of(t: Tableau) -> list[list[int]]:
-    rows = t.rows
-    if not rows:
-        return []
-    return [
-        [rows[i][c] for i in range(len(rows)) if len(rows[i]) > c]
-        for c in range(len(rows[0]))
-    ]
+    # entries are positive, so the 0 padding is the only falsy value
+    return [list(filter(None, col)) for col in zip_longest(*t.rows, fillvalue=0)]
 
 
 def _tableau_from_cols(cols: list[list[int]]) -> Tableau:
-    if not cols:
-        return Tableau(())
-    nrows = len(cols[0])
-    return Tableau(
-        tuple(
-            tuple(col[i] for col in cols if len(col) > i) for i in range(nrows)
-        )
-    )
+    rows = []
+    k = len(cols)
+    for r in range(len(cols[0]) if cols else 0):
+        # column lengths weakly decrease: row r reads the first k columns
+        while len(cols[k - 1]) <= r:
+            k -= 1
+        rows.append(tuple([col[r] for col in cols[:k]]))
+    return Tableau(tuple(rows))
 
 
 def _column_bump(cols: list[list[int]], x: int) -> tuple[int, int]:
@@ -206,16 +198,22 @@ def column_insert_word(word: Sequence[int]) -> Tableau:
 
 
 def rsk_column(m: Matrix) -> tuple[Tableau, Tableau]:
-    """The pair ``(P, Q)``: insert the bottom line, recording where each new box lands."""
+    """The pair ``(P, Q)``: insert the bottom line, recording where each new box lands.
+
+    The cells are walked in two-line-array order: row ``i`` ascending, column
+    ``j`` descending, ``M[i][j]`` copies of each.
+    """
     cols: list[list[int]] = []
     q_rows: list[list[int]] = []
-    top, bottom = two_line_array(m)
-    for i, j in zip(top, bottom):
-        r, _ = _column_bump(cols, j)
-        if r == len(q_rows):
-            q_rows.append([])
-        q_rows[r].append(i)
-    return _tableau_from_cols(cols), Tableau(tuple(tuple(r) for r in q_rows))
+    for i, row in enumerate(m, start=1):
+        for j in range(len(row), 0, -1):
+            for _ in range(row[j - 1]):
+                r, _ = _column_bump(cols, j)
+                if r == len(q_rows):
+                    q_rows.append([i])
+                else:
+                    q_rows[r].append(i)
+    return _tableau_from_cols(cols), Tableau(tuple(map(tuple, q_rows)))
 
 
 def _reverse_column_extract(cols: list[list[int]], row: int, col: int) -> int:
@@ -258,21 +256,22 @@ def rsk_column_inverse(
     """Matrix mapping to ``(p, q)``; raises ValueError if the pair is invalid.
 
     The last box created always holds the rightmost copy of the largest entry
-    of the recording tableau, so extraction peels those off in reverse.
+    of the recording tableau, which in a semistandard ``q`` is a corner, so
+    extraction peels Q's cells in (value, column) descending order.
     """
     if p.shape != q.shape:
         raise ValueError("tableaux have different shapes")
     cols = _cols_of(p)
-    q_rows = [list(r) for r in q.rows]
-    pairs: list[tuple[int, int]] = []
-    for _ in range(p.size):
-        value, r, c = _pop_largest(q_rows)
-        pairs.append((value, _reverse_column_extract(cols, r, c)))
+    order = sorted(
+        ((v, c, r) for r, row in enumerate(q.rows) for c, v in enumerate(row)),
+        reverse=True,
+    )
+    pairs = [(v, _reverse_column_extract(cols, r, c)) for v, c, r in order]
     return matrix_from_pairs(pairs, nrows, ncols)
 
 
 # ---------------------------------------------------------------------------
-# row insertion (used by the rotation identity and the bijection phi)
+# row insertion (used by the bijection phi)
 
 
 def _row_bump(rows: list[list[int]], x: int) -> tuple[int, int]:
@@ -289,34 +288,6 @@ def _row_bump(rows: list[list[int]], x: int) -> tuple[int, int]:
             return r, len(row) - 1
         x, row[pos] = row[pos], x
         r += 1
-
-
-def row_insert(t: Tableau, x: int) -> Tableau:
-    rows = [list(r) for r in t.rows]
-    _row_bump(rows, x)
-    return Tableau(tuple(tuple(r) for r in rows))
-
-
-def row_insert_word(word: Sequence[int]) -> Tableau:
-    rows: list[list[int]] = []
-    for x in word:
-        _row_bump(rows, x)
-    return Tableau(tuple(tuple(r) for r in rows))
-
-
-def rsk_row(pairs: Iterable[tuple[int, int]]) -> tuple[Tableau, Tableau]:
-    """Row-insert the second members, recording the first at each new box."""
-    rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
-    for label, x in pairs:
-        r, _ = _row_bump(rows, x)
-        if r == len(q_rows):
-            q_rows.append([])
-        q_rows[r].append(label)
-    return (
-        Tableau(tuple(tuple(r) for r in rows)),
-        Tableau(tuple(tuple(r) for r in q_rows)),
-    )
 
 
 def _reverse_row_bump(rows: list[list[int]], r: int) -> int:
@@ -340,20 +311,6 @@ def _reverse_row_bump(rows: list[list[int]], r: int) -> int:
     return x
 
 
-def complemented_row_pairs(m: Matrix) -> list[tuple[int, int]]:
-    """Recorded pairs reading rows bottom-up, labels complemented to n+1-r.
-
-    Row-inserting these records the same tableau as the recording tableau of
-    the half-turn rotation of ``m``.
-    """
-    n = len(m)
-    pairs: list[tuple[int, int]] = []
-    for r in range(n, 0, -1):
-        for j, mult in enumerate(m[r - 1], start=1):
-            pairs.extend([(n + 1 - r, j)] * mult)
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # the column statistic
 
@@ -361,22 +318,11 @@ def complemented_row_pairs(m: Matrix) -> list[tuple[int, int]]:
 def c_index(m: Matrix) -> int:
     """Number of columns of ``P(m)``."""
     cols: list[list[int]] = []
-    for x in two_line_array(m)[1]:
-        _column_bump(cols, x)
+    for row in m:
+        for j in range(len(row), 0, -1):
+            for _ in range(row[j - 1]):
+                _column_bump(cols, j)
     return len(cols)
-
-
-def longest_weakly_decreasing(seq: Sequence[int]) -> int:
-    """Length of the longest weakly decreasing subsequence."""
-    # patience sorting on the negated, weakly increasing version
-    piles: list[int] = []
-    for x in seq:
-        pos = bisect_right(piles, -x)
-        if pos == len(piles):
-            piles.append(-x)
-        else:
-            piles[pos] = -x
-    return len(piles)
 
 
 def enumerate_admissible(m: int, g: int) -> list[Matrix]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-from operator import ge
+from operator import ge, le, lt
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -224,19 +224,18 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        shape = tuple(len(r) for r in self.rows)
-        normalize_partition(shape)
-        if any(len(r) == 0 for r in self.rows):
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
+        normalize_partition(tuple(map(len, rows)))
+        if not all(rows):
             raise ValueError("empty row in tableau")
-        for r in self.rows:
-            if any(x < 1 for x in r):
+        for r in rows:
+            if min(r) < 1:
                 raise ValueError(f"nonpositive entry in row {r}")
-            if any(a > b for a, b in zip(r, r[1:])):
+            if not all(map(le, r, r[1:])):
                 raise ValueError(f"row {r} is not weakly increasing")
-        for i in range(1, len(self.rows)):
-            upper, lower = self.rows[i - 1], self.rows[i]
-            if any(upper[j] >= lower[j] for j in range(len(lower))):
+        for upper, lower in zip(rows, rows[1:]):
+            if not all(map(lt, upper, lower)):
                 raise ValueError("columns are not strictly increasing")
 
     @property
@@ -317,21 +316,22 @@ class KingTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        normalize_partition(tuple(len(r) for r in self.rows))
-        if any(len(r) == 0 for r in self.rows):
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
+        normalize_partition(tuple(map(len, rows)))
+        if not all(rows):
             raise ValueError("empty row in tableau")
-        for i, row in enumerate(self.rows, start=1):
-            ranks = [letter_rank(x) for x in row]
-            if any(a > b for a, b in zip(ranks, ranks[1:])):
+        ranks = []
+        for i, row in enumerate(rows, start=1):
+            rank = tuple(map(letter_rank, row))
+            if not all(map(le, rank, rank[1:])):
                 raise ValueError(f"row {row} is not weakly increasing")
-            if ranks and ranks[0] < letter_rank(i):
+            if rank[0] < letter_rank(i):
                 raise ValueError(f"row {i} has an entry below the letter {i}")
-        for i in range(1, len(self.rows)):
-            upper, lower = self.rows[i - 1], self.rows[i]
-            for j in range(len(lower)):
-                if letter_rank(upper[j]) >= letter_rank(lower[j]):
-                    raise ValueError("columns are not strictly increasing")
+            ranks.append(rank)
+        for upper, lower in zip(ranks, ranks[1:]):
+            if not all(map(lt, upper, lower)):
+                raise ValueError("columns are not strictly increasing")
 
     @property
     def shape(self) -> Partition:

@@ -43,22 +43,25 @@ from sympcrystal.crystal import (
     stembridge_violations,
     strip_pair_multisets,
 )
-from sympcrystal.oracles import inverse_column_word, trace_tables
+from sympcrystal.oracles import (
+    complemented_row_pairs,
+    inverse_column_word,
+    longest_weakly_decreasing,
+    rotate180,
+    rsk_row,
+    trace_tables,
+)
 from sympcrystal.oscillating import SSOT, OscStrip, enumerate_ssot, ssot_from_text
 from sympcrystal.rsk import (
     c_index,
     enumerate_admissible,
     is_admissible,
     is_symmetric,
-    longest_weakly_decreasing,
     matrices_with_sum,
     matrix,
-    rotate180,
-    complemented_row_pairs,
     row_sums,
     rsk_column,
     rsk_column_inverse,
-    rsk_row,
     two_line_array,
 )
 from sympcrystal.tableaux import (

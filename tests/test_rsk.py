@@ -2,32 +2,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympcrystal.oracles import rsk_column_transpose
+from sympcrystal.oracles import (
+    complemented_row_pairs,
+    longest_weakly_decreasing,
+    rotate180,
+    row_insert,
+    row_insert_word,
+    rsk_column_transpose,
+    rsk_row,
+)
 from sympcrystal.rsk import (
+    _pop_largest,
+    _reverse_column_extract,
     _reverse_row_bump,
     c_index,
     column_insert_word,
-    complemented_row_pairs,
     enumerate_admissible,
     format_matrix,
     is_admissible,
     is_symmetric,
-    longest_weakly_decreasing,
     matrices_with_sum,
     matrix,
     matrix_from_pairs,
     parse_matrix,
-    rotate180,
-    row_insert,
-    row_insert_word,
     rsk_column,
     rsk_column_inverse,
-    rsk_row,
     symmetric_even_diagonal,
     transpose_matrix,
     two_line_array,
 )
-from sympcrystal.tableaux import Tableau
+from sympcrystal.tableaux import Tableau, partitions_of, tableaux_of_shape
 
 M_BIG = matrix([[2, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
 M_SMALL = matrix([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
@@ -166,6 +170,71 @@ def test_inverse_rejects_bad_pairs():
     # the pair is fine but does not fit in the requested matrix size
     with pytest.raises(ValueError):
         rsk_column_inverse(Tableau(((2, 3),)), Tableau(((1, 1),)), nrows=1, ncols=2)
+
+
+def _reference_inverse(p, q, nrows=None, ncols=None):
+    """``rsk_column_inverse`` as it read when it peeled Q with ``_pop_largest``."""
+    if p.shape != q.shape:
+        raise ValueError("tableaux have different shapes")
+    rows = p.rows
+    cols = [
+        [rows[i][c] for i in range(len(rows)) if len(rows[i]) > c]
+        for c in range(len(rows[0]) if rows else 0)
+    ]
+    q_rows = [list(r) for r in q.rows]
+    pairs = []
+    for _ in range(p.size):
+        value, r, c = _pop_largest(q_rows)
+        pairs.append((value, _reverse_column_extract(cols, r, c)))
+    return matrix_from_pairs(pairs, nrows, ncols)
+
+
+def _inverse_verdict(*args):
+    """The matrix, or the ValueError message, of the inverse and its reference."""
+    out = []
+    for inverse in (rsk_column_inverse, _reference_inverse):
+        try:
+            out.append(inverse(*args))
+        except ValueError as exc:
+            out.append(str(exc))
+    return tuple(out)
+
+
+def test_roundtrip_matches_references_exhaustive():
+    count = 0
+    for nrows in (1, 2, 3):
+        for ncols in (1, 2, 3):
+            for m in matrices_with_sum(nrows, ncols, 6):
+                p, q = rsk_column(m)
+                assert (p, q) == rsk_column_transpose(m)
+                assert _reference_inverse(p, q, nrows, ncols) == m
+                assert rsk_column_inverse(p, q, nrows, ncols) == m
+                # with no size given, the matrix stops at the largest entries
+                got, ref = _inverse_verdict(p, q)
+                assert got == ref
+                count += 1
+    assert count == 7294
+
+
+def test_inverse_errors_match_reference():
+    # shape mismatch
+    got, ref = _inverse_verdict(Tableau(((1, 2),)), Tableau(((1,), (2,))))
+    assert got == ref == "tableaux have different shapes"
+    # every same-shape pair with entries at most 3 and size at most 4, in
+    # every matrix size up to 3 x 3, some of them too small
+    for size in range(5):
+        for shape in partitions_of(size):
+            tabs = list(tableaux_of_shape(shape, 3))
+            for p in tabs:
+                for q in tabs:
+                    for nrows in (None, 1, 2, 3):
+                        for ncols in (None, 1, 2, 3):
+                            got, ref = _inverse_verdict(p, q, nrows, ncols)
+                            assert got == ref, (p, q, nrows, ncols)
+    got, ref = _inverse_verdict(Tableau(((2, 3),)), Tableau(((1, 1),)), 1, 2)
+    assert got == ref == "pair (1, 3) outside a 1x2 matrix"
+    got, ref = _inverse_verdict(Tableau(((1,), (2,))), Tableau(((1,), (3,))), 2, 2)
+    assert got == ref == "pair (3, 2) outside a 2x2 matrix"
 
 
 def test_inverse_total_on_same_shape_pairs():

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -230,6 +231,77 @@ def test_tableau_validation():
         Tableau(((1, 2), (1,)))  # column not strict
     with pytest.raises(ValueError):
         Tableau(((2, 1),))  # row not weak
+
+
+def _reference_tableau_check(rows):
+    """``Tableau.__post_init__`` as it read before it moved to C-level loops."""
+    rows = tuple(tuple(r) for r in rows)
+    shape = tuple(len(r) for r in rows)
+    normalize_partition(shape)
+    if any(len(r) == 0 for r in rows):
+        raise ValueError("empty row in tableau")
+    for r in rows:
+        if any(x < 1 for x in r):
+            raise ValueError(f"nonpositive entry in row {r}")
+        if any(a > b for a, b in zip(r, r[1:])):
+            raise ValueError(f"row {r} is not weakly increasing")
+    for i in range(1, len(rows)):
+        upper, lower = rows[i - 1], rows[i]
+        if any(upper[j] >= lower[j] for j in range(len(lower))):
+            raise ValueError("columns are not strictly increasing")
+
+
+def _reference_king_check(rows):
+    """``KingTableau.__post_init__`` as it read before it ranked each entry once."""
+    rows = tuple(tuple(r) for r in rows)
+    normalize_partition(tuple(len(r) for r in rows))
+    if any(len(r) == 0 for r in rows):
+        raise ValueError("empty row in tableau")
+    for i, row in enumerate(rows, start=1):
+        ranks = [letter_rank(x) for x in row]
+        if any(a > b for a, b in zip(ranks, ranks[1:])):
+            raise ValueError(f"row {row} is not weakly increasing")
+        if ranks and ranks[0] < letter_rank(i):
+            raise ValueError(f"row {i} has an entry below the letter {i}")
+    for i in range(1, len(rows)):
+        upper, lower = rows[i - 1], rows[i]
+        for j in range(len(lower)):
+            if letter_rank(upper[j]) >= letter_rank(lower[j]):
+                raise ValueError("columns are not strictly increasing")
+
+
+def _verdict(check, rows):
+    try:
+        check(rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _parity_inputs():
+    """Every list of at most two rows of length at most 3, and of three rows
+    of length at most 2, over the letters -1, 0, 1, 2, 3 (-1 is barred 1 for
+    King tableaux).  All three-row inputs with rows of length 3 would be
+    3.8 million and about a minute and a half to check."""
+    letters = (-1, 0, 1, 2, 3)
+    short = [r for n in range(3) for r in itertools.product(letters, repeat=n)]
+    long = short + list(itertools.product(letters, repeat=3))
+    for k in range(3):
+        yield from itertools.product(long, repeat=k)
+    yield from itertools.product(short, repeat=3)
+
+
+def test_tableau_checks_match_reference():
+    accepted = Counter()
+    for rows in _parity_inputs():
+        for cls, reference in (
+            (Tableau, _reference_tableau_check),
+            (KingTableau, _reference_king_check),
+        ):
+            got = _verdict(cls, rows)
+            assert got == _verdict(reference, rows), (cls.__name__, rows)
+            accepted[cls.__name__] += got is None
+    assert accepted == Counter(Tableau=85, KingTableau=195)
 
 
 def test_tableaux_of_shape_counts():
