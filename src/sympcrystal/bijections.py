@@ -149,10 +149,12 @@ def phi_inverse(m: Matrix) -> SSOT:
     for k in range(total, 0, -1):
         if k > w[k]:
             letters[k - 1] = -(_row_bump(rows, w[k])[0] + 1)
-        elif max((row[-1] for row in rows), default=0) != k:
+            continue
+        # k is in the tableau: step w[k] > k inserted it
+        largest, r, _ = _pop_largest(rows)
+        if largest != k:
             raise ValueError("deletion is not the largest entry")
-        else:
-            letters[k - 1] = _pop_largest(rows)[1] + 1
+        letters[k - 1] = r + 1
     if rows:
         raise ValueError("chain does not return to the empty shape")
     strips: list[OscStrip] = []

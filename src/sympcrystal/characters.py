@@ -3,8 +3,10 @@
 Everything lives in the Laurent ring Z[x_1^{+-1}, ..., x_m^{+-1}] with integer
 coefficients throughout; there is no floating point anywhere.  Production code
 builds irreducible characters as tableau sums (``king_character``) and
-decomposes without them; the determinant ratio ``weyl_character`` is the
-reference route that the tests and ``verify characters`` check both against.
+decomposes without them: a product chi_lam * f by Brauer-Klimyk over the
+terms of f alone (``brauer_klimyk``).  The determinant ratio
+``weyl_character`` is the reference route that the tests and ``verify
+characters`` check both against.
 """
 
 from collections import Counter
@@ -23,6 +25,7 @@ from .tableaux import (
     interlacing_partitions,
     king_weight,
     normalize_partition,
+    shape_in_rows,
     tableaux_of_shape,
 )
 
@@ -203,17 +206,20 @@ def schur_eval(mu: Partition, m: int) -> LaurentCharacter:
     return LaurentCharacter(Counter(exponent(t) for t in tableaux_of_shape(mu, 2 * m)))
 
 
-def decompose_sp(f: LaurentCharacter, m: int) -> Counter:
-    """Exact multiplicities in the irreducible-character basis, in one pass.
+def brauer_klimyk(lam: Partition, f: LaurentCharacter, m: int) -> Counter:
+    """Multiplicities of chi_lam * f in the irreducible-character basis, in one
+    pass over f, without expanding the product.
 
-    Weyl's formula term by term (Brauer, Racah-Speiser): a signed permutation
-    w makes v = e + rho positive and strictly decreasing, rho = (m, ..., 1),
-    and c * x^e adds sign(w) * c to sorted|v| - rho; a v with a zero or a
-    repeated |entry| lies on a wall.  Raises unless every exponent has m
-    entries and every adjacent swap and negating x_m fix f.  Returns the
-    nonzero multiplicities, largest first.
+    Brauer-Klimyk (Fulton-Harris section 25): a signed permutation w makes
+    v = lam + e + rho positive and strictly decreasing, rho = (m, ..., 1),
+    and each term c * x^e of f adds sign(w) * c to sorted|v| - rho; a v with
+    a zero or a repeated |entry| lies on a wall.  Raises unless lam has at
+    most m rows, every exponent has m entries and every adjacent swap and
+    negating x_m fix f.  Returns the nonzero multiplicities, largest first.
     """
+    lam = shape_in_rows(lam, m)
     rho = range(m, 0, -1)
+    shift = [a + r for a, r in zip(lam + (0,) * (m - len(lam)), rho)]
     acc: Counter = Counter()
     for e, c in f.terms.items():
         if len(e) != m:
@@ -222,29 +228,38 @@ def decompose_sp(f: LaurentCharacter, m: int) -> Counter:
         images += [e[:-1] + (-e[-1],)] if m else []
         if any(f.terms.get(x) != c for x in images):
             raise ValueError(f"at {e}: input is not symmetric under signed permutations")
-        v = [a + r for a, r in zip(e, rho)]
+        v = [a + s for a, s in zip(e, shift)]
         flips = sum(a < 0 for a in v)
         v = [abs(a) for a in v]
         if 0 in v or len(set(v)) < m:
             continue
         inversions = sum(a < b for a, b in combinations(v, 2))
-        lam = normalize_partition(a - r for a, r in zip(sorted(v, reverse=True), rho))
-        acc[lam] += -c if (flips + inversions) % 2 else c
-    return Counter({lam: acc[lam] for lam in sorted(acc, reverse=True) if acc[lam]})
+        nu = normalize_partition(a - r for a, r in zip(sorted(v, reverse=True), rho))
+        acc[nu] += -c if (flips + inversions) % 2 else c
+    return Counter({nu: acc[nu] for nu in sorted(acc, reverse=True) if acc[nu]})
+
+
+def decompose_sp(f: LaurentCharacter, m: int) -> Counter:
+    """Exact multiplicities of f in the irreducible-character basis, in one
+    pass: ``brauer_klimyk`` with the empty shape, whose character is 1."""
+    return brauer_klimyk((), f, m)
 
 
 # ---------------------------------------------------------------------------
 # Pieri-type counts
 
 
+def dual_pieri_counts(lam: Partition, ell: int, g: int) -> Counter:
+    """For every nu, the oscillating strips of size ``ell`` from conj(lam) to
+    conj(nu) with peaks at most g wide; one strip scan for all nu."""
+    return Counter(
+        conjugate(s.outside) for s in enumerate_strips(conjugate(lam), g, size=ell)
+    )
+
+
 def dual_pieri_count(lam: Partition, ell: int, nu: Partition, g: int) -> int:
     """Oscillating strips between the conjugate shapes, peaks at most g wide."""
-    target = conjugate(nu)
-    return sum(
-        1
-        for s in enumerate_strips(conjugate(lam), g, size=ell)
-        if s.outside == target
-    )
+    return dual_pieri_counts(lam, ell, g)[normalize_partition(nu)]
 
 
 def sundaram_h_count(lam: Partition, k: int, nu: Partition) -> int:
@@ -270,15 +285,20 @@ def _gl_highest(t: SSOT, m: int) -> bool:
     return all(ssot_stats(t, i, m)[0] == 0 for i in range(1, len(t.strips)))
 
 
-def conjecture_table(lam: Partition, mu: Partition, m: int) -> Counter:
+def conjecture_table(
+    lam: Partition, mu: Partition, m: int, memo: dict | None = None
+) -> Counter:
     """The tableau side of the product formula, grouped by ending partition.
 
     Entry ``nu`` counts the chains inside conj(lam), outside conj(nu), strip
     sizes conj(mu), peaks at most m wide, with every junction statistic zero.
+    ``memo`` is the strip table ``enumerate_ssot`` fills and reuses.
     """
     lam, mu = normalize_partition(lam), normalize_partition(mu)
     weight = conjugate(mu)
-    chains = enumerate_ssot(None, len(weight), m, inside=conjugate(lam), weight=weight)
+    chains = enumerate_ssot(
+        None, len(weight), m, inside=conjugate(lam), weight=weight, memo=memo
+    )
     return Counter(conjugate(t.outside) for t in chains if _gl_highest(t, m))
 
 
@@ -297,10 +317,15 @@ class ConjectureReport:
         return all(a == b for _, a, b in self.rows)
 
 
-def conjecture_verify(lam: Partition, mu: Partition, m: int) -> ConjectureReport:
+def conjecture_verify(
+    lam: Partition, mu: Partition, m: int, memo: dict | None = None
+) -> ConjectureReport:
+    """Both sides of the product formula: the chain counts of
+    ``conjecture_table`` against the Brauer-Klimyk multiplicities of
+    chi_lam * s_mu.  ``memo`` is passed to ``conjecture_table``."""
     lam, mu = normalize_partition(lam), normalize_partition(mu)
-    counted = conjecture_table(lam, mu, m)
-    expanded = decompose_sp(king_character(lam, m) * schur_eval(mu, m), m)
+    counted = conjecture_table(lam, mu, m, memo)
+    expanded = brauer_klimyk(lam, schur_eval(mu, m), m)
     keys = sorted(set(counted) | set(expanded), key=lambda p: (sum(p), p))
     rows = tuple((nu, counted.get(nu, 0), expanded.get(nu, 0)) for nu in keys)
     mode = "ASSERT" if (not mu or mu[0] <= 3 or len(mu) == 1) else "REPORT"

@@ -26,9 +26,12 @@ from pathlib import Path
 
 from .bijections import phi, phi_inverse, psi, psi_inverse
 from .characters import (
+    LaurentCharacter,
+    brauer_klimyk,
     conjecture_verify,
     decompose_sp,
     dual_pieri_count,
+    dual_pieri_counts,
     king_character,
     schur_eval,
     sundaram_h_count,
@@ -68,6 +71,7 @@ from .tableaux import (
     partitions_in_box,
     partitions_of,
     rect_complement,
+    shape_in_rows,
     weight_to_partition,
 )
 
@@ -202,10 +206,12 @@ def cmd_char(args):
     if args.what == "schur":
         return char_lines(schur_eval(parse_partition(args.mu), args.m), args.format), True
     if args.what == "decompose":
-        f = king_character(parse_partition(args.lam), args.m)
+        # lambda's row bound is checked before --mu is read
+        lam = shape_in_rows(parse_partition(args.lam), args.m)
+        f = LaurentCharacter.one(args.m)
         if args.mu is not None:
-            f = f * schur_eval(parse_partition(args.mu), args.m)
-        dec = decompose_sp(f, args.m)
+            f = schur_eval(parse_partition(args.mu), args.m)
+        dec = brauer_klimyk(lam, f, args.m)
         lines = [
             f"{format_partition(nu)}\t{dec[nu]}"
             for nu in sorted(dec, key=lambda p: (sum(p), p))
@@ -218,13 +224,8 @@ def cmd_char(args):
         raise UsageError("char pieri needs --index (the strip size)")
     if args.nu is not None:
         return [str(dual_pieri_count(lam, ell, parse_partition(args.nu), args.m))], True
-    lines = []
-    for size in range(sum(lam) + ell, -1, -2):
-        for nu in partitions_of(size, args.m):
-            c = dual_pieri_count(lam, ell, nu, args.m)
-            if c:
-                lines.append(f"{format_partition(nu)}\t{c}")
-    return sorted(lines), True
+    counts = dual_pieri_counts(lam, ell, args.m)
+    return sorted(f"{format_partition(nu)}\t{c}" for nu, c in counts.items()), True
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +336,17 @@ def suite_characters(m, max_size):
            f"shapes={n} m={m}")
     dp_ok = h_ok = True
     checked = 0
+    # e_ell and h_ell do not depend on lam: one Schur evaluation each
+    elementary = [schur_eval((1,) * ell, m) for ell in range(4)]
+    complete = [schur_eval((ell,), m) for ell in range(4)]
     for lam in _parts_upto(min(max_size, 4), m):
-        chi = weyl_character(lam, m)
         for ell in range(4):
-            dec_e = decompose_sp(chi * schur_eval((1,) * ell, m), m)
-            dec_h = decompose_sp(chi * schur_eval((ell,), m), m)
+            dec_e = brauer_klimyk(lam, elementary[ell], m)
+            dec_h = brauer_klimyk(lam, complete[ell], m)
+            strips = dual_pieri_counts(lam, ell, m)
             for nu in _parts_upto(min(max_size, 4) + ell, m):
                 checked += 1
-                if dec_e.get(nu, 0) != dual_pieri_count(lam, ell, nu, m):
+                if dec_e.get(nu, 0) != strips[nu]:
                     dp_ok = False
                 if dec_h.get(nu, 0) != sundaram_h_count(lam, ell, nu):
                     h_ok = False
@@ -367,9 +371,10 @@ def suite_conjecture(m, max_size):
     rows = []
     asserted = reported = 0
     bad = []
+    memo = {}  # one strip table for every pair
     for lam in _parts_upto(max_size, m):
         for mu in _parts_upto(max_size, m):
-            r = conjecture_verify(lam, mu, m)
+            r = conjecture_verify(lam, mu, m, memo)
             if r.mode == "ASSERT":
                 asserted += 1
                 if not r.ok:

@@ -237,16 +237,18 @@ def enumerate_ssot(
     g: int,
     inside: Partition = (),
     weight: tuple[int, ...] | None = None,
+    memo: dict[tuple[Partition, int, int | None], list[OscStrip]] | None = None,
 ) -> list[SSOT]:
     """All SSOT with ``m`` strips from ``inside`` to ``outside``, peaks <= g columns.
 
     ``outside=None`` accepts every end shape; the chains then come in the same
     order as the fixed-``outside`` calls would give them, interleaved.
     ``weight`` fixes each strip's size when given.  The strips from each
-    (shape, size) are enumerated once per call.  For a fixed ``outside``, a
-    forward pass collects the shapes reachable at each depth and a backward
-    pass keeps those from which ``outside`` can still be reached; the walk
-    enters only kept shapes.
+    (shape, g, size) are enumerated once and kept in ``memo``; pass one dict
+    to several calls to enumerate them once across the calls.  For a fixed
+    ``outside``, a forward pass collects the shapes reachable at each depth
+    and a backward pass keeps those from which ``outside`` can still be
+    reached; the walk enters only kept shapes.
     """
     if m < 0 or g < 0:
         raise ValueError("m and g must be nonnegative")
@@ -255,13 +257,14 @@ def enumerate_ssot(
     inside = normalize_partition(inside)
     if weight is not None and len(weight) != m:
         raise ValueError("weight length must equal the number of strips")
-    memo: dict[tuple[Partition, int | None], list[OscStrip]] = {}
+    if memo is None:
+        memo = {}
 
     def strips_from(k: int, cur: Partition) -> list[OscStrip]:
-        size = None if weight is None else weight[k]
-        if (cur, size) not in memo:
-            memo[cur, size] = enumerate_strips(cur, g, size)
-        return memo[cur, size]
+        key = (cur, g, None if weight is None else weight[k])
+        if key not in memo:
+            memo[key] = enumerate_strips(*key)
+        return memo[key]
 
     keep: list[set[Partition]] | None = None
     if outside is not None:

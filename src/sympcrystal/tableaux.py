@@ -46,6 +46,14 @@ def normalize_partition(parts) -> Partition:
     return parts
 
 
+def shape_in_rows(mu, m: int) -> Partition:
+    """``mu`` normalized; ValueError when it has more than ``m`` rows."""
+    mu = normalize_partition(mu)
+    if len(mu) > m:
+        raise ValueError(f"shape {mu} has more than {m} rows")
+    return mu
+
+
 def conjugate(mu: Partition) -> Partition:
     """Transpose of the Young diagram."""
     if not mu:
@@ -367,9 +375,7 @@ def enumerate_king(mu: Partition, m: int) -> list[KingTableau]:
 
     Ordered lexicographically by the row reading word in the barred order.
     """
-    mu = normalize_partition(mu)
-    if len(mu) > m:
-        raise ValueError(f"shape {mu} has more than {m} rows")
+    mu = shape_in_rows(mu, m)
     return [
         KingTableau(tuple(tuple(rank_letter(r) for r in row) for row in rows))
         for rows in _fillings(mu, [2 * i + 1 for i in range(len(mu))], 2 * m)

@@ -9,17 +9,21 @@ from sympcrystal.characters import (
     ConjectureReport,
     LaurentCharacter,
     _divide_exact,
+    brauer_klimyk,
     conjecture_table,
     conjecture_verify,
     decompose_sp,
     dual_pieri_count,
+    dual_pieri_counts,
     king_character,
     schur_eval,
     sundaram_h_count,
     weyl_character,
     weyl_dimension,
 )
+from sympcrystal.oscillating import enumerate_strips
 from sympcrystal.tableaux import (
+    conjugate,
     enumerate_king,
     is_horizontal_strip,
     normalize_partition,
@@ -199,8 +203,69 @@ def test_decompose_handles_negative_multiplicities():
     assert decompose_sp(f, m) == Counter({(2,): 1, (1, 1): -3})
 
 
+def test_brauer_klimyk_matches_product_route():
+    # every mu up to size 3, so also those with more than 2m rows, whose
+    # Schur evaluation is 0; the multiplicities and their order must agree
+    cases = 0
+    for m in range(4):
+        for lam in parts_upto(4, m):
+            chi = king_character(lam, m)
+            for mu in parts_upto(3):
+                s = schur_eval(mu, m)
+                want = decompose_sp(chi * s, m)
+                got = brauer_klimyk(lam, s, m)
+                assert list(got.items()) == list(want.items()), (m, lam, mu)
+                cases += 1
+    assert cases == 182
+
+
+def test_brauer_klimyk_anchors():
+    assert brauer_klimyk((1,), schur_eval((1,), 2), 2) == Counter(
+        {(2,): 1, (1, 1): 1, (): 1}
+    )
+    assert brauer_klimyk((2, 1), LaurentCharacter(), 2) == Counter()
+    assert brauer_klimyk((2, 1), LaurentCharacter.one(2), 2) == Counter({(2, 1): 1})
+    assert brauer_klimyk((), LaurentCharacter.one(0), 0) == Counter({(): 1})
+    # chi_lam * (-1) has multiplicity -1 at lam
+    assert brauer_klimyk((1,), -LaurentCharacter.one(1), 1) == Counter({(1,): -1})
+
+
+def test_brauer_klimyk_rejects_bad_input():
+    with pytest.raises(ValueError, match="shape \\(1, 1\\) has more than 1 rows"):
+        brauer_klimyk((1, 1), LaurentCharacter.one(1), 1)
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        brauer_klimyk((1, 2), LaurentCharacter.one(2), 2)
+    with pytest.raises(ValueError, match="not symmetric under signed permutations"):
+        brauer_klimyk((1,), LaurentCharacter({(1, 0): 1, (0, 1): 1}), 2)
+    with pytest.raises(ValueError, match="entries"):
+        brauer_klimyk((1,), LaurentCharacter.one(3), 2)
+
+
 # ---------------------------------------------------------------------------
 # Pieri counts
+
+
+def dual_pieri_by_target(lam, ell, nu, g):
+    """One strip scan per target shape: the reference for the shared scan."""
+    target = conjugate(nu)
+    return sum(
+        1
+        for s in enumerate_strips(conjugate(lam), g, size=ell)
+        if s.outside == target
+    )
+
+
+def test_dual_pieri_counts_match_per_target_scan():
+    for g in range(4):
+        for lam in parts_upto(3):
+            for ell in range(4):
+                counts = dual_pieri_counts(lam, ell, g)
+                targets = parts_upto(sum(lam) + ell)
+                assert set(counts) <= set(targets), (g, lam, ell)
+                for nu in targets:
+                    want = dual_pieri_by_target(lam, ell, nu, g)
+                    assert counts[nu] == want, (g, lam, ell, nu)
+                    assert dual_pieri_count(lam, ell, nu, g) == want
 
 
 def test_dual_pieri_anchors():

@@ -1,11 +1,13 @@
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from sympcrystal import cli
+from sympcrystal import characters, cli, oscillating
 from sympcrystal.characters import weyl_character
 from sympcrystal.cli import main
+from sympcrystal.tableaux import normalize_partition
 
 WORKED_KING = "2 2b / 3 3 / 3b 4 / 4 4b"
 WORKED_SSOT = "(1 1)(2 2b)(1b)(1b)"
@@ -241,8 +243,73 @@ def test_char_pieri(capsys):
     assert (code, out) == (0, "2\n")
 
 
+def test_char_decompose_checks_lambda_rows_first(capsys):
+    # lambda's row bound is checked before --mu is read, so its message wins
+    for mu in ("[1]", "[1,2]", "[-1]"):
+        code, out, err = run_cli(
+            capsys, "char", "decompose", "--lambda", "[1,1]", "--mu", mu, "--m", "1"
+        )
+        assert (code, out) == (3, "")
+        assert err == "invalid input: shape (1, 1) has more than 1 rows\n"
+
+
+def test_char_pieri_lists_every_target_of_one_scan(capsys):
+    code, out, _ = run_cli(
+        capsys, "char", "pieri", "--lambda", "[2,1]", "--index", "3", "--m", "2"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines == sorted(lines)
+    for line in lines:
+        nu, c = line.split("\t")
+        code, one, _ = run_cli(
+            capsys, "char", "pieri", "--lambda", "[2,1]", "--index", "3", "--m", "2",
+            "--nu", nu,
+        )
+        assert (code, one) == (0, c + "\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
+
+
+@pytest.fixture
+def strip_calls(monkeypatch):
+    """Counts enumerate_strips calls by (shape, column bound, size)."""
+    calls = Counter()
+    real = oscillating.enumerate_strips
+
+    def counting(inside, max_cols, size=None):
+        calls[normalize_partition(inside), max_cols, size] += 1
+        return real(inside, max_cols, size)
+
+    monkeypatch.setattr(oscillating, "enumerate_strips", counting)
+    monkeypatch.setattr(characters, "enumerate_strips", counting)
+    return calls
+
+
+def test_suites_enumerate_each_strip_set_once(strip_calls):
+    cli.suite_conjecture(2, 3)
+    assert len(strip_calls) == 18 and set(strip_calls.values()) == {1}
+    strip_calls.clear()
+    cli.suite_characters(2, 2)
+    # one scan per (lambda, ell): 4 shapes of size <= 2, ell = 0..3
+    assert len(strip_calls) == 16 and set(strip_calls.values()) == {1}
+
+
+def test_no_strip_table_outlives_a_cli_call(capsys, strip_calls):
+    for argv in (
+        ["verify", "conjecture", "--m", "2", "--max-size", "3"],
+        ["verify", "characters", "--m", "3", "--max-size", "1"],
+    ):
+        strip_calls.clear()
+        assert main(argv) == 0
+        first = Counter(strip_calls)
+        assert first and set(first.values()) == {1}
+        strip_calls.clear()
+        assert main(argv) == 0
+        assert strip_calls == first, argv
+    capsys.readouterr()
 
 
 def test_verify_all_smallest(capsys):
