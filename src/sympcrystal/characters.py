@@ -15,8 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from .crystal import ssot_stats
-from .oscillating import SSOT, enumerate_ssot, enumerate_strips
+from .oscillating import enumerate_ssot, enumerate_strips
 from .tableaux import (
     Partition,
     Weight,
@@ -280,26 +279,22 @@ def sundaram_h_count(lam: Partition, k: int, nu: Partition) -> int:
 # the product formula harness
 
 
-def _gl_highest(t: SSOT, m: int) -> bool:
-    """No junction admits a raise, i.e. every index >= 1 has epsilon zero."""
-    return all(ssot_stats(t, i, m)[0] == 0 for i in range(1, len(t.strips)))
-
-
 def conjecture_table(
     lam: Partition, mu: Partition, m: int, memo: dict | None = None
 ) -> Counter:
     """The tableau side of the product formula, grouped by ending partition.
 
     Entry ``nu`` counts the chains inside conj(lam), outside conj(nu), strip
-    sizes conj(mu), peaks at most m wide, with every junction statistic zero.
+    sizes conj(mu), peaks at most m wide, with epsilon zero at every index
+    i >= 1: ``enumerate_ssot`` walks only those, by the bound (None, 0, ..., 0).
     ``memo`` is the strip table ``enumerate_ssot`` fills and reuses.
     """
     lam, mu = normalize_partition(lam), normalize_partition(mu)
     weight = conjugate(mu)
-    chains = enumerate_ssot(
-        None, len(weight), m, inside=conjugate(lam), weight=weight, memo=memo
-    )
-    return Counter(conjugate(t.outside) for t in chains if _gl_highest(t, m))
+    bound = tuple(None if i == 0 else 0 for i in range(len(weight)))
+    chains = enumerate_ssot(None, len(weight), m, inside=conjugate(lam),
+                            weight=weight, memo=memo, eps_bound=bound)
+    return Counter(conjugate(t.outside) for t in chains)
 
 
 @dataclass(frozen=True)
@@ -318,14 +313,19 @@ class ConjectureReport:
 
 
 def conjecture_verify(
-    lam: Partition, mu: Partition, m: int, memo: dict | None = None
+    lam: Partition, mu: Partition, m: int, memo: dict | None = None,
+    schurs: dict | None = None,
 ) -> ConjectureReport:
     """Both sides of the product formula: the chain counts of
     ``conjecture_table`` against the Brauer-Klimyk multiplicities of
-    chi_lam * s_mu.  ``memo`` is passed to ``conjecture_table``."""
+    chi_lam * s_mu.  ``memo`` is passed to ``conjecture_table``; ``schurs``
+    keeps s_mu by (mu, m), so calls that share one dict evaluate each mu once."""
     lam, mu = normalize_partition(lam), normalize_partition(mu)
     counted = conjecture_table(lam, mu, m, memo)
-    expanded = brauer_klimyk(lam, schur_eval(mu, m), m)
+    schurs = {} if schurs is None else schurs
+    if (mu, m) not in schurs:
+        schurs[mu, m] = schur_eval(mu, m)
+    expanded = brauer_klimyk(lam, schurs[mu, m], m)
     keys = sorted(set(counted) | set(expanded), key=lambda p: (sum(p), p))
     rows = tuple((nu, counted.get(nu, 0), expanded.get(nu, 0)) for nu in keys)
     mode = "ASSERT" if (not mu or mu[0] <= 3 or len(mu) == 1) else "REPORT"

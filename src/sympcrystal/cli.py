@@ -42,7 +42,6 @@ from .crystal import (
     SsotCrystal,
     axiom_violations,
     crystal_graph,
-    decompose,
     graph_to_adjacency,
     graph_to_dot,
     matrix_lower,
@@ -119,9 +118,7 @@ def cmd_enumerate(args):
         if args.g is None:
             raise UsageError("enumerate ssot needs --g")
         outside = rect_complement(mu, args.m, args.g)
-        items = sorted(
-            str(t) for t in enumerate_ssot(outside, args.m, args.g)
-        )
+        items = sorted(str(t) for t in enumerate_ssot(outside, args.m, args.g))
     return items + [f"count {len(items)}"], True
 
 
@@ -165,25 +162,23 @@ def cmd_crystal_apply(args):
     return [str(out) if out is not None else "none"], True
 
 
-def _ssot_graph(args):
+def cmd_crystal_graph(args):
     if args.g is None:
         raise UsageError("needs --g")
-    mu = parse_partition(args.mu)
-    seeds = enumerate_ssot(rect_complement(mu, args.m, args.g), args.m, args.g)
-    return crystal_graph(SsotCrystal(args.m, args.g), seeds)
-
-
-def cmd_crystal_graph(args):
-    graph = _ssot_graph(args)
+    outside = rect_complement(parse_partition(args.mu), args.m, args.g)
+    seeds = enumerate_ssot(outside, args.m, args.g)
+    graph = crystal_graph(SsotCrystal(args.m, args.g), seeds)
     text = graph_to_dot(graph) if args.format == "dot" else graph_to_adjacency(graph)
     return text.splitlines(), True
 
 
 def cmd_crystal_decompose(args):
-    graph = _ssot_graph(args)
-    counts = Counter()
-    for w, c in decompose(graph).items():
-        counts[weight_to_partition(w)] += c
+    if args.g is None:
+        raise UsageError("needs --g")
+    outside = rect_complement(parse_partition(args.mu), args.m, args.g)
+    # one highest-weight chain per component: epsilon is zero at every index
+    highest = enumerate_ssot(outside, args.m, args.g, eps_bound=(0,) * args.m)
+    counts = Counter(weight_to_partition(t.crystal_weight(args.g)) for t in highest)
     lines = [
         f"{format_partition(nu)}\t{counts[nu]}"
         for nu in sorted(counts, key=lambda p: (sum(p), p))
@@ -371,10 +366,10 @@ def suite_conjecture(m, max_size):
     rows = []
     asserted = reported = 0
     bad = []
-    memo = {}  # one strip table for every pair
+    memo, schurs = {}, {}  # one strip table and one Schur table for every pair
     for lam in _parts_upto(max_size, m):
         for mu in _parts_upto(max_size, m):
-            r = conjecture_verify(lam, mu, m, memo)
+            r = conjecture_verify(lam, mu, m, memo, schurs)
             if r.mode == "ASSERT":
                 asserted += 1
                 if not r.ok:
@@ -443,20 +438,21 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, g_default=None):
+    def common(p, run):
         p.add_argument("--m", type=_nonnegative_int, default=2, help="number of letter tracks")
-        p.add_argument("--g", type=_nonnegative_int, default=g_default, help="column bound")
+        p.add_argument("--g", type=_nonnegative_int, default=None, help="column bound")
         p.add_argument("--output", help="write here instead of stdout")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("enumerate", help="list King or oscillating tableaux")
     p.add_argument("what", choices=["king", "ssot"])
     p.add_argument("--mu", default="[]", help="shape, like [2,1]")
-    common(p)
+    common(p, cmd_enumerate)
 
     p = sub.add_parser("map", help="transport an object between models")
     p.add_argument("how", choices=["psi", "psi-inv", "phi", "phi-inv"])
     p.add_argument("--input", help="path, or - for stdin")
-    common(p)
+    common(p, cmd_map)
 
     p = sub.add_parser("crystal", help="operators, graphs, decompositions")
     crystal_sub = p.add_subparsers(dest="action", required=True)
@@ -465,13 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--index", type=_nonnegative_int, required=True)
     pa.add_argument("--input", help="path, or - for stdin")
     pa.add_argument("--inside", default="[]", help="inner shape for skew chains")
-    common(pa)
+    common(pa, cmd_crystal_apply)
     for name in ("graph", "decompose"):
         pg = crystal_sub.add_parser(name)
         pg.add_argument("--mu", default="[]", help="shape, like [2,1]")
         if name == "graph":
             pg.add_argument("--format", choices=["dot", "adj"], default="dot")
-        common(pg)
+        common(pg, cmd_crystal_graph if name == "graph" else cmd_crystal_decompose)
 
     p = sub.add_parser("char", help="exact character computations")
     p.add_argument("what", choices=["chi", "schur", "decompose", "pieri"])
@@ -480,35 +476,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", default=None)
     p.add_argument("--index", type=_nonnegative_int, default=None, help="strip size for pieri")
     p.add_argument("--format", choices=["text", "tsv"], default="text")
-    common(p)
+    common(p, cmd_char)
 
     p = sub.add_parser("verify", help="run an invariant battery")
     p.add_argument("what", choices=["bijections", "crystal", "characters",
                                     "conjecture", "all"])
     p.add_argument("--max-size", type=_nonnegative_int, default=None,
                    help="partition size cap for character suites")
-    common(p)
+    common(p, cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "enumerate":
-            lines, ok = cmd_enumerate(args)
-        elif args.command == "map":
-            lines, ok = cmd_map(args)
-        elif args.command == "crystal":
-            if args.action == "apply":
-                lines, ok = cmd_crystal_apply(args)
-            elif args.action == "graph":
-                lines, ok = cmd_crystal_graph(args)
-            else:
-                lines, ok = cmd_crystal_decompose(args)
-        elif args.command == "char":
-            lines, ok = cmd_char(args)
-        else:
-            lines, ok = cmd_verify(args)
+        lines, ok = args.run(args)
         text = "\n".join(lines) + ("\n" if lines else "")
         if not args.output:
             sys.stdout.write(text)

@@ -385,15 +385,10 @@ class CrystalGraph:
     edges: tuple[tuple[int, int, int], ...]
     weights: tuple[Weight, ...]
     labels: tuple[str, ...] = field(compare=False, repr=False, default=None)
-    _pos: dict = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.labels is None:
             object.__setattr__(self, "labels", tuple(map(str, self.vertices)))
-        object.__setattr__(self, "_pos", {v: k for k, v in enumerate(self.vertices)})
-
-    def index(self, x) -> int:
-        return self._pos[x]
 
     def highest_weight_vertices(self) -> tuple:
         """Vertices with no incoming lowering edge."""
@@ -459,9 +454,8 @@ def crystal_graph(crystal, vertices) -> CrystalGraph:
 
 def decompose(graph: CrystalGraph) -> Counter:
     """Multiset of highest weights, one per source vertex."""
-    return Counter(
-        graph.weights[graph.index(v)] for v in graph.highest_weight_vertices()
-    )
+    targets = {dst for _, _, dst in graph.edges}
+    return Counter(w for k, w in enumerate(graph.weights) if k not in targets)
 
 
 def graph_to_adjacency(graph: CrystalGraph) -> str:

@@ -22,14 +22,18 @@
   ``test_crystal.py::test_matrix_two_routes_agree_exhaustive``).
 * :func:`locality_mask`: the part of a matrix that junction ``i`` sees
   (``test_crystal.py::test_locality_mask_anchor``).
+* :func:`strip_sequence`, :func:`strip_additions`, :func:`strip_removals`,
+  :func:`ssot_chain`: shapes and row multisets replayed from strip words.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from typing import Iterable, Sequence
 
 from .crystal import pair_multisets
+from .oscillating import SSOT, OscStrip, _box_step
 from .rsk import (
     Matrix,
     _row_bump,
@@ -38,7 +42,7 @@ from .rsk import (
     transpose_matrix,
     two_line_array,
 )
-from .tableaux import Tableau
+from .tableaux import Partition, Tableau
 
 
 def rsk_column_transpose(m: Matrix) -> tuple[Tableau, Tableau]:
@@ -263,3 +267,31 @@ def locality_mask(m: Matrix, i: int) -> Matrix:
                 row.append(v)
         rows.append(row)
     return matrix(rows)
+
+
+# ---------------------------------------------------------------------------
+# strips and chains replayed from their words
+
+
+def strip_sequence(strip: OscStrip) -> tuple[Partition, ...]:
+    """Every partition the strip touches, inside first."""
+    rows, shapes = list(strip.inside), [strip.inside]
+    for s in strip.word:
+        _box_step(rows, s)
+        shapes.append(tuple(rows))
+    return tuple(shapes)
+
+
+def strip_additions(strip: OscStrip) -> Counter:
+    """Multiset of rows receiving a box."""
+    return Counter(s for s in strip.word if s > 0)
+
+
+def strip_removals(strip: OscStrip) -> Counter:
+    """Multiset of rows losing a box."""
+    return Counter(-s for s in strip.word if s < 0)
+
+
+def ssot_chain(t: SSOT) -> tuple[Partition, ...]:
+    """Every partition touched, junction shapes listed once."""
+    return (t.inside,) + tuple(p for s in t.strips for p in strip_sequence(s)[1:])

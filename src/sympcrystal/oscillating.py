@@ -20,7 +20,6 @@ starting where the previous one ended.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -72,15 +71,6 @@ class OscStrip:
         object.__setattr__(self, "star", outside if star is None else star)
         object.__setattr__(self, "outside", outside)
 
-    def sequence(self) -> tuple[Partition, ...]:
-        """Every partition the strip touches, inside first."""
-        rows = list(self.inside)
-        shapes = [self.inside]
-        for s in self.word:
-            _box_step(rows, s)
-            shapes.append(tuple(rows))
-        return tuple(shapes)
-
     @property
     def size(self) -> int:
         return len(self.word)
@@ -89,20 +79,12 @@ class OscStrip:
     def num_cols(self) -> int:
         return self.star[0] if self.star else 0
 
-    def additions(self) -> Counter:
-        """Multiset of rows receiving a box."""
-        return Counter(s for s in self.word if s > 0)
-
-    def removals(self) -> Counter:
-        """Multiset of rows losing a box."""
-        return Counter(-s for s in self.word if s < 0)
-
     @classmethod
     def from_partitions(
         cls, inside: Partition, star: Partition, outside: Partition
     ) -> "OscStrip":
-        """The unique strip with this inside, peak, and outside; ValueError if none."""
-        star, outside = normalize_partition(star), normalize_partition(outside)
+        """The unique strip with this inside, peak and outside, which must be
+        partitions (no trailing zeros); ValueError if none."""
         n = len(star)
         below, above = tuple(inside) + (0,) * n, outside + (0,) * n
         word: list[int] = []
@@ -162,13 +144,6 @@ class SSOT:
         """Coordinate i is g minus the size of strip i+1."""
         return tuple(g - s.size for s in self.strips)
 
-    def chain(self) -> tuple[Partition, ...]:
-        """Every partition touched, junction shapes listed once."""
-        shapes: list[Partition] = [self.inside]
-        for s in self.strips:
-            shapes.extend(s.sequence()[1:])
-        return tuple(shapes)
-
     def replace(self, k: int, *new_strips: OscStrip) -> "SSOT":
         """Copy with strips k..k+len(new_strips)-1 (0-based) replaced."""
         parts = (
@@ -194,11 +169,8 @@ def ssot_from_text(text: str, inside: Partition = ()) -> SSOT:
     strips: list[OscStrip] = []
     cur = normalize_partition(inside)
     for chunk in text[1:-1].split(")("):
-        toks = chunk.split()
-        word = tuple(parse_letter(tok) for tok in toks)
-        strip = OscStrip(cur, word)
-        strips.append(strip)
-        cur = strip.outside
+        strips.append(OscStrip(cur, tuple(parse_letter(tok) for tok in chunk.split())))
+        cur = strips[-1].outside
     return SSOT(tuple(strips))
 
 
@@ -238,6 +210,7 @@ def enumerate_ssot(
     inside: Partition = (),
     weight: tuple[int, ...] | None = None,
     memo: dict[tuple[Partition, int, int | None], list[OscStrip]] | None = None,
+    eps_bound: tuple[int | None, ...] | None = None,
 ) -> list[SSOT]:
     """All SSOT with ``m`` strips from ``inside`` to ``outside``, peaks <= g columns.
 
@@ -249,6 +222,11 @@ def enumerate_ssot(
     ``outside``, a forward pass collects the shapes reachable at each depth
     and a backward pass keeps those from which ``outside`` can still be
     reached; the walk enters only kept shapes.
+
+    ``eps_bound[i]``, unless None, caps epsilon_i (all zeros: highest-weight
+    chains only).  epsilon_0 reads strip 1 alone and epsilon_i strips i and
+    i+1, so ``crystal.ssot_stats`` tests each bound as its last strip is
+    appended.  A bound at index 0 needs ``inside == ()``.
     """
     if m < 0 or g < 0:
         raise ValueError("m and g must be nonnegative")
@@ -259,6 +237,13 @@ def enumerate_ssot(
         raise ValueError("weight length must equal the number of strips")
     if memo is None:
         memo = {}
+    if eps_bound is not None:
+        from .crystal import ssot_stats  # crystal imports this module
+        if len(eps_bound) != m:
+            raise ValueError("eps_bound length must equal the number of strips")
+        if m and eps_bound[0] is not None and inside:
+            raise ValueError("a bound at index 0 needs inside == ()")
+    bounds = eps_bound or (None,) * m
 
     def strips_from(k: int, cur: Partition) -> list[OscStrip]:
         key = (cur, g, None if weight is None else weight[k])
@@ -283,11 +268,18 @@ def enumerate_ssot(
         if k == m:
             out.append(SSOT(tuple(acc), inside))
             return
+        bound = bounds[k]
         for strip in strips_from(k, cur):
-            if keep is None or strip.outside in keep[k + 1]:
-                acc.append(strip)
-                rec(k + 1, strip.outside, acc)
-                acc.pop()
+            if keep is not None and strip.outside not in keep[k + 1]:
+                continue
+            # the chain of strip k alone, or of strips k-1 and k, at index min(k, 1)
+            if bound is not None and ssot_stats(
+                SSOT((*acc[-1:], strip)), min(k, 1), g
+            )[0] > bound:
+                continue
+            acc.append(strip)
+            rec(k + 1, strip.outside, acc)
+            acc.pop()
 
     if keep is None or inside in keep[0]:
         rec(0, inside, [])

@@ -7,7 +7,12 @@ from sympcrystal.bijections import (
     psi_inverse,
     standardized_word,
 )
-from sympcrystal.oracles import inverse_column_word, remove_biggest, trace_tables
+from sympcrystal.oracles import (
+    inverse_column_word,
+    remove_biggest,
+    strip_sequence,
+    trace_tables,
+)
 from sympcrystal.oscillating import SSOT, OscStrip, enumerate_ssot, ssot_from_text
 from sympcrystal.rsk import (
     c_index,
@@ -182,7 +187,7 @@ def test_trace_shapes_match_strips():
             beta = 0
             for strip in t.strips:
                 seg = shapes[beta : beta + strip.size + 1]
-                assert tuple(seg) == strip.sequence()
+                assert tuple(seg) == strip_sequence(strip)
                 beta += strip.size
 
 

@@ -21,7 +21,8 @@ from sympcrystal.characters import (
     weyl_character,
     weyl_dimension,
 )
-from sympcrystal.oscillating import enumerate_strips
+from sympcrystal.crystal import ssot_stats
+from sympcrystal.oscillating import enumerate_ssot, enumerate_strips
 from sympcrystal.tableaux import (
     conjugate,
     enumerate_king,
@@ -376,6 +377,21 @@ def test_conjecture_lhs_anchors():
     assert conjecture_lhs((), (), (), 2) == 1
     assert conjecture_lhs((), (), (1,), 2) == 0
     assert conjecture_lhs((), (1, 1), (), 2) == 1
+
+
+def test_conjecture_table_matches_filter_after_enumerate():
+    # the pruned walk against every chain filtered by its junction statistics
+    for m, size in [(1, 5), (2, 4), (3, 3)]:
+        for lam in parts_upto(size, m):
+            for mu in parts_upto(size, m):
+                weight = conjugate(mu)
+                n = len(weight)
+                chains = enumerate_ssot(None, n, m, inside=conjugate(lam), weight=weight)
+                expected = Counter(
+                    conjugate(t.outside) for t in chains
+                    if all(ssot_stats(t, i, m)[0] == 0 for i in range(1, n))
+                )
+                assert conjecture_table(lam, mu, m) == expected, (m, lam, mu)
 
 
 def test_conjecture_table_totals():

@@ -4,10 +4,18 @@ from collections import Counter
 
 import pytest
 
-from sympcrystal import characters, cli, oscillating
+from sympcrystal import characters, cli, crystal, oscillating
 from sympcrystal.characters import weyl_character
 from sympcrystal.cli import main
-from sympcrystal.tableaux import normalize_partition
+from sympcrystal.crystal import SsotCrystal, crystal_graph, decompose
+from sympcrystal.oscillating import enumerate_ssot
+from sympcrystal.tableaux import (
+    format_partition,
+    normalize_partition,
+    partitions_in_box,
+    rect_complement,
+    weight_to_partition,
+)
 
 WORKED_KING = "2 2b / 3 3 / 3b 4 / 4 4b"
 WORKED_SSOT = "(1 1)(2 2b)(1b)(1b)"
@@ -174,6 +182,35 @@ def test_crystal_decompose(capsys):
     assert (code, out) == (0, "[1,1]\t1\n")
 
 
+@pytest.mark.parametrize(
+    "m,g", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+)
+def test_crystal_decompose_matches_the_graph_sources(capsys, m, g):
+    # the bounded walk against the sources of the full crystal graph
+    for mu in partitions_in_box(m, g):
+        seeds = enumerate_ssot(rect_complement(mu, m, g), m, g)
+        sources = Counter()
+        for w, c in decompose(crystal_graph(SsotCrystal(m, g), seeds)).items():
+            sources[weight_to_partition(w)] += c
+        expected = "".join(f"{format_partition(nu)}\t{sources[nu]}\n"
+                           for nu in sorted(sources, key=lambda p: (sum(p), p)))
+        argv = ["crystal", "decompose", "--mu", format_partition(mu),
+                "--m", str(m), "--g", str(g)]
+        assert run_cli(capsys, *argv) == (0, expected, ""), argv
+
+
+def test_crystal_decompose_builds_no_graph(capsys, monkeypatch):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("crystal decompose built a crystal graph")
+
+    monkeypatch.setattr(cli, "crystal_graph", no_graph)
+    monkeypatch.setattr(crystal, "crystal_graph", no_graph)
+    code, out, _ = run_cli(
+        capsys, "crystal", "decompose", "--mu", "[2,1]", "--m", "3", "--g", "2"
+    )
+    assert code == 0 and out
+
+
 def test_crystal_decompose_takes_no_format(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["crystal", "decompose", "--mu", "[1]", "--m", "1", "--g", "1",
@@ -309,6 +346,24 @@ def test_no_strip_table_outlives_a_cli_call(capsys, strip_calls):
         strip_calls.clear()
         assert main(argv) == 0
         assert strip_calls == first, argv
+    capsys.readouterr()
+
+
+def test_verify_conjecture_evaluates_each_schur_once_per_call(capsys, monkeypatch):
+    calls = Counter()
+    real = characters.schur_eval
+
+    def counting(mu, m):
+        calls[normalize_partition(mu), m] += 1
+        return real(mu, m)
+
+    monkeypatch.setattr(characters, "schur_eval", counting)
+    argv = ["verify", "conjecture", "--m", "2", "--max-size", "3"]
+    assert main(argv) == 0
+    # the 6 shapes mu of size <= 3 with at most 2 rows
+    assert len(calls) == 6 and set(calls.values()) == {1}
+    assert main(argv) == 0
+    assert set(calls.values()) == {2}
     capsys.readouterr()
 
 

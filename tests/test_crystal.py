@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -32,7 +33,13 @@ from sympcrystal.crystal import (
     stembridge_violations,
     strip_pair_multisets,
 )
-from sympcrystal.oracles import locality_mask, matrix_lower_surgery, matrix_raise_surgery
+from sympcrystal.oracles import (
+    locality_mask,
+    matrix_lower_surgery,
+    matrix_raise_surgery,
+    strip_additions,
+    strip_removals,
+)
 from sympcrystal.oscillating import SSOT, OscStrip, enumerate_ssot, ssot_from_text
 from sympcrystal.rsk import enumerate_admissible, matrix, rsk_column
 from sympcrystal.tableaux import (
@@ -183,10 +190,10 @@ def _ref_multiset_down(a: Counter, b: Counter) -> Counter:
 
 def _ref_strip_pair_multisets(t: SSOT, i: int) -> tuple[Counter, Counter]:
     lo, hi = t.strips[i - 1], t.strips[i]
-    bar_removes = _ref_multiset_up(lo.removals(), hi.additions())
-    bar_adds = _ref_multiset_up(hi.additions(), lo.removals())
-    c = Counter(lo.additions()) + Counter({-r: v for r, v in bar_removes.items()})
-    d = Counter(bar_adds) + Counter({-r: v for r, v in hi.removals().items()})
+    bar_removes = _ref_multiset_up(strip_removals(lo), strip_additions(hi))
+    bar_adds = _ref_multiset_up(strip_additions(hi), strip_removals(lo))
+    c = Counter(strip_additions(lo)) + Counter({-r: v for r, v in bar_removes.items()})
+    d = Counter(bar_adds) + Counter({-r: v for r, v in strip_removals(hi).items()})
     return c, d
 
 
@@ -271,7 +278,44 @@ def test_ssot_index0_stats_count_the_first_strip(m, g):
     for t in enumerate_ssot(None, m, g):
         first = t.strips[0]
         assert set(first.word) <= {1, -1}
-        assert ssot_stats(t, 0, g) == (first.removals()[1], g - first.additions()[1])
+        expected = (strip_removals(first)[1], g - strip_additions(first)[1])
+        assert ssot_stats(t, 0, g) == expected
+
+
+# every shape in these m x g boxes is a `crystal decompose` input of the desk corpus
+DESK_BOXES = [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+
+
+def _eps_within(t: SSOT, bound, g: int) -> bool:
+    return all(b is None or ssot_stats(t, i, g)[0] <= b for i, b in enumerate(bound))
+
+
+@pytest.mark.parametrize("m,g", DESK_BOXES)
+def test_bounded_walk_keeps_the_highest_weight_chains(m, g):
+    # the pruned walk against filter-after-enumerate, shape by shape, in order
+    every = enumerate_ssot(None, m, g)
+    for mu in partitions_in_box(m, g):
+        outside = rect_complement(mu, m, g)
+        highest = [t for t in every if t.outside == outside and _eps_within(t, (0,) * m, g)]
+        assert enumerate_ssot(outside, m, g, eps_bound=(0,) * m) == highest
+
+
+@pytest.mark.parametrize("m,g", [(2, 2), (3, 1), (3, 2)])
+def test_bounded_walk_matches_the_filter_on_every_mixed_bound(m, g):
+    every = enumerate_ssot(None, m, g)
+    for bound in itertools.product((None, 0, 1, 2), repeat=m):
+        kept = [t for t in every if _eps_within(t, bound, g)]
+        assert enumerate_ssot(None, m, g, eps_bound=bound) == kept, bound
+
+
+def test_bounded_walk_on_skew_chains():
+    for inside, weight in [((1,), None), ((2, 1), (1, 2, 1)), ((1, 1), (2, 0, 2))]:
+        every = enumerate_ssot(None, 3, 2, inside=inside, weight=weight)
+        for bound in itertools.product((None, 0, 1), repeat=2):
+            kept = [t for t in every if _eps_within(t, (None, *bound), 2)]
+            found = enumerate_ssot(None, 3, 2, inside=inside, weight=weight,
+                                   eps_bound=(None, *bound))
+            assert found == kept, (inside, bound)
 
 
 def test_ssot_index0_requires_straight():

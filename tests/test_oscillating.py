@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sympcrystal import oscillating
+from sympcrystal.oracles import ssot_chain, strip_additions, strip_removals, strip_sequence
 from sympcrystal.oscillating import (
     SSOT,
     OscStrip,
@@ -40,13 +41,13 @@ def strips(draw):
 
 def test_strip_replay():
     s = OscStrip((1,), (2, 1, -2))
-    assert s.sequence() == ((1,), (1, 1), (2, 1), (2,))
+    assert strip_sequence(s) == ((1,), (1, 1), (2, 1), (2,))
     assert s.star == (2, 1)
     assert s.outside == (2,)
     assert s.size == 3
     assert s.num_cols == 2
-    assert s.additions() == {2: 1, 1: 1}
-    assert s.removals() == {2: 1}
+    assert strip_additions(s) == {2: 1, 1: 1}
+    assert strip_removals(s) == {2: 1}
 
 
 def test_strip_word_must_weakly_decrease():
@@ -96,6 +97,11 @@ def test_from_partitions_known():
     assert t.word == (1, 1, -1, -1)
     with pytest.raises(ValueError):
         OscStrip.from_partitions((), (1, 1), ())  # vertical, not horizontal
+    # shapes are taken as given: trailing zeros name no shape a strip lands on
+    with pytest.raises(ValueError):
+        OscStrip.from_partitions((), (2, 0), ())
+    with pytest.raises(ValueError):
+        OscStrip.from_partitions((1,), (2, 1), (2, 0))
 
 
 def test_from_partitions_matches_horizontal_strip_checks():
@@ -121,8 +127,8 @@ def test_strip_triple_roundtrip(s):
 def test_stored_shapes_match_replay():
     for inside in partitions_in_box(3, 3):
         for s in enumerate_strips(inside, 3):
-            shapes = s.sequence()
-            assert s.star == shapes[sum(s.additions().values())]
+            shapes = strip_sequence(s)
+            assert s.star == shapes[sum(strip_additions(s).values())]
             assert s.outside == shapes[-1]
 
 
@@ -149,7 +155,7 @@ def test_ssot_running_example():
     assert t.inside == ()
     assert t.num_cols == 3
     assert t.crystal_weight(3) == (1, 0, 0, 1)
-    assert t.chain() == (
+    assert ssot_chain(t) == (
         (),
         (1,),
         (),
@@ -173,7 +179,7 @@ def test_stripless_chain_keeps_its_start_shape():
     (fixed,) = enumerate_ssot((2,), 0, 2, inside=(2,))
     (every,) = enumerate_ssot(None, 0, 2, inside=(2,))
     for t in (fixed, every):
-        assert (t.inside, t.outside, t.chain()) == ((2,), (2,), ((2,),))
+        assert (t.inside, t.outside, ssot_chain(t)) == ((2,), (2,), ((2,),))
     assert enumerate_ssot((), 0, 2, inside=(2,)) == []
     assert SSOT(()).outside == ()
     # a nonempty chain starts at its first strip; eq, hash and str ignore the field
@@ -313,6 +319,19 @@ def test_enumerate_ssot_unreachable_outside_is_empty():
 def test_enumerate_ssot_rejects_negative_parameters(outside, m, g):
     with pytest.raises(ValueError, match="nonnegative"):
         enumerate_ssot(outside, m, g)
+
+
+def test_enumerate_ssot_eps_bound_contract():
+    with pytest.raises(ValueError, match="eps_bound length"):
+        enumerate_ssot((), 2, 2, eps_bound=(0,))
+    with pytest.raises(ValueError, match="eps_bound length"):
+        enumerate_ssot(None, 0, 2, eps_bound=(0,))
+    # epsilon_0 is defined only on chains that start empty
+    with pytest.raises(ValueError, match="index 0"):
+        enumerate_ssot(None, 2, 2, inside=(1,), eps_bound=(0, None))
+    skew = enumerate_ssot(None, 2, 2, inside=(1,))
+    assert enumerate_ssot(None, 2, 2, inside=(1,), eps_bound=(None, None)) == skew
+    assert enumerate_ssot(None, 0, 2, eps_bound=()) == [SSOT(())]
 
 
 def test_enumerate_ssot_peak_bound():
