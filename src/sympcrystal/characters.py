@@ -13,7 +13,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations, product
+from operator import add, neg
 
 from .oscillating import enumerate_ssot, enumerate_strips
 from .tableaux import (
@@ -134,29 +136,43 @@ def _divide_exact(num: LaurentCharacter, den: LaurentCharacter) -> LaurentCharac
     Degrees in each x_k add, so an exact quotient keeps every exponent in the
     box [min_k num - min_k den, max_k num - max_k den].  Each step's exponent
     is below the last one and must stay in that finite box, so the loop ends.
+
+    The remainder is kept with every exponent negated, so that its
+    lexicographic maximum is the minimum of a heap holding one entry per
+    exponent that entered it; an entry whose exponent has since cancelled is
+    skipped when it comes up.
     """
     lead_d = max(den.terms)
     coeff_d = den.terms[lead_d]
     num_cols, den_cols = tuple(zip(*num.terms)), tuple(zip(*den.terms))
     box = [(min(a) - min(b), max(a) - max(b)) for a, b in zip(num_cols, den_cols)]
-    rem = dict(num.terms)
+    rem = {tuple(map(neg, e)): c for e, c in num.terms.items()}
+    heap = list(rem)
+    heapify(heap)
+    neg_den = [(tuple(map(neg, e)), c) for e, c in den.terms.items()]
     quot: dict = {}
-    while rem:
-        lead = max(rem)
+    while heap:
+        lead = heappop(heap)
+        if lead not in rem:
+            continue
         c, r = divmod(rem[lead], coeff_d)
         if r:
             raise ValueError("leading coefficients do not divide")
-        e = tuple(a - b for a, b in zip(lead, lead_d))
+        neg_e = tuple(map(add, lead, lead_d))
+        e = tuple(map(neg, neg_e))
         if not all(lo <= v <= hi for v, (lo, hi) in zip(e, box)):
             raise ValueError(f"quotient exponent {e} leaves the degree box; not exact")
         quot[e] = c
-        for de, dc in den.terms.items():
-            ne = tuple(a + b for a, b in zip(e, de))
-            v = rem.get(ne, 0) - c * dc
-            if v:
-                rem[ne] = v
+        for de, dc in neg_den:
+            ne = tuple(map(add, neg_e, de))
+            old = rem.get(ne)
+            if old is None:
+                rem[ne] = -c * dc
+                heappush(heap, ne)
+            elif old == c * dc:
+                del rem[ne]
             else:
-                rem.pop(ne, None)
+                rem[ne] = old - c * dc
     return LaurentCharacter(quot)
 
 

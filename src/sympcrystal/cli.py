@@ -39,6 +39,7 @@ from .characters import (
 )
 from .crystal import (
     MatrixCrystal,
+    MemoCrystal,
     SsotCrystal,
     axiom_violations,
     crystal_graph,
@@ -48,8 +49,6 @@ from .crystal import (
     matrix_raise,
     ssot_lower,
     ssot_raise,
-    ssot_stats,
-    matrix_stats,
     stembridge_violations,
 )
 from .oscillating import enumerate_ssot, ssot_from_text
@@ -277,10 +276,13 @@ def suite_crystal(m, g):
     # most g wide never leave it
     corpus = enumerate_ssot(None, m, g)
     mats = enumerate_admissible(m, g)
-    v = axiom_violations(SsotCrystal(m, g), corpus)
+    # one operator memo per model, shared by every check below and dropped
+    # on return
+    osc_cr, mat_cr = MemoCrystal(SsotCrystal(m, g)), MemoCrystal(MatrixCrystal(m, g))
+    v = axiom_violations(osc_cr, corpus)
     _check(rows, "crystal", "axioms_oscillating", not v,
            v[0] if v else f"vertices={len(corpus)}")
-    v = axiom_violations(MatrixCrystal(m, g), mats)
+    v = axiom_violations(mat_cr, mats)
     _check(rows, "crystal", "axioms_matrix", not v,
            v[0] if v else f"vertices={len(mats)}")
     route_ok = True
@@ -288,9 +290,9 @@ def suite_crystal(m, g):
     for mat in mats:
         for i in range(1, m):
             checked += 2
-            if matrix_raise(mat, i, g) != matrix_raise_surgery(mat, i):
+            if mat_cr.e(mat, i) != matrix_raise_surgery(mat, i):
                 route_ok = False
-            if matrix_lower(mat, i, g) != matrix_lower_surgery(mat, i):
+            if mat_cr.f(mat, i) != matrix_lower_surgery(mat, i):
                 route_ok = False
     _check(rows, "crystal", "insertion_vs_surgery", route_ok, f"checks={checked}")
     equi_ok = True
@@ -299,16 +301,16 @@ def suite_crystal(m, g):
         mat = phi(t)
         for i in range(m):
             checked += 1
-            up, down = ssot_raise(t, i), ssot_lower(t, i, g)
-            if (None if up is None else phi(up)) != matrix_raise(mat, i, g):
+            up, down = osc_cr.e(t, i), osc_cr.f(t, i)
+            if (None if up is None else phi(up)) != mat_cr.e(mat, i):
                 equi_ok = False
-            if (None if down is None else phi(down)) != matrix_lower(mat, i, g):
+            if (None if down is None else phi(down)) != mat_cr.f(mat, i):
                 equi_ok = False
-            if ssot_stats(t, i, g) != matrix_stats(mat, i, g):
+            if osc_cr.stats(t, i) != mat_cr.stats(mat, i):
                 equi_ok = False
     _check(rows, "crystal", "transport_equivariance", equi_ok, f"checks={checked}")
-    v = stembridge_violations(SsotCrystal(m, g), corpus)
-    v += stembridge_violations(MatrixCrystal(m, g), mats)
+    v = stembridge_violations(osc_cr, corpus)
+    v += stembridge_violations(mat_cr, mats)
     _check(rows, "crystal", "stembridge_battery", not v,
            v[0] if v else f"vertices={len(corpus) + len(mats)}")
     return rows

@@ -372,6 +372,56 @@ class KingCrystal:
         return king_weight(x, self.m)
 
 
+_MISSING = object()
+
+
+class MemoCrystal:
+    """A crystal that applies each of ``e``, ``f`` and ``stats`` at most once
+    per (vertex, index).
+
+    Each operator keeps its own dict from ``(x, i)`` to exactly what the base
+    returned for that call: no value is inferred from another (``f(e(x, i),
+    i)`` is still asked of the base), and a call that raises stores nothing.
+    Every other attribute (``m``, ``g``, ``weight``) is the base's.  A memo
+    lives as long as the checks that share it; nothing is cached at module
+    level.
+    """
+
+    def __init__(self, base):
+        self.base = base
+        self.indices = base.indices
+        self._e: dict = {}
+        self._f: dict = {}
+        self._stats: dict = {}
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def e(self, x, i):
+        out = self._e.get((x, i), _MISSING)
+        if out is _MISSING:
+            out = self._e[x, i] = self.base.e(x, i)
+        return out
+
+    def f(self, x, i):
+        out = self._f.get((x, i), _MISSING)
+        if out is _MISSING:
+            out = self._f[x, i] = self.base.f(x, i)
+        return out
+
+    def stats(self, x, i):
+        out = self._stats.get((x, i), _MISSING)
+        if out is _MISSING:
+            out = self._stats[x, i] = self.base.stats(x, i)
+        return out
+
+
+def memoised(crystal) -> MemoCrystal:
+    """``crystal`` itself when it is already a :class:`MemoCrystal`, else a
+    fresh memo over it."""
+    return crystal if isinstance(crystal, MemoCrystal) else MemoCrystal(crystal)
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -489,7 +539,13 @@ def string_length(op, x, i: int) -> int:
 
 def axiom_violations(crystal, vertices) -> list[str]:
     """Mutual inversion, weight shifts, the phi - eps pairing, and the
-    agreement of closed-form statistics with iterated counts."""
+    agreement of closed-form statistics with iterated counts.
+
+    The operators are read through :func:`memoised`, so the strings from a
+    vertex and the checks at its neighbours share one application per
+    (vertex, index).
+    """
+    crystal = memoised(crystal)
     bad: list[str] = []
     m = crystal.m
     for x in vertices:
@@ -526,7 +582,9 @@ def stembridge_violations(crystal, vertices, indices=None) -> list[str]:
     """The local type-A axioms on the chosen indices (all >= 1): the
     dichotomy for neighbouring indices, the commutation rules, and their
     lowering-side duals; distant indices must commute and leave each
-    other's statistics alone."""
+    other's statistics alone.  The operators are read through
+    :func:`memoised`, as in :func:`axiom_violations`."""
+    crystal = memoised(crystal)
     if indices is None:
         indices = [i for i in crystal.indices if i >= 1]
     if any(i < 1 for i in indices):

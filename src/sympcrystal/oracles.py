@@ -24,13 +24,16 @@
   (``test_crystal.py::test_locality_mask_anchor``).
 * :func:`strip_sequence`, :func:`strip_additions`, :func:`strip_removals`,
   :func:`ssot_chain`: shapes and row multisets replayed from strip words.
+* :func:`matrices_with_sum`, every matrix of a given size up to an entry
+  sum (the exhaustive insertion corpora), and the shape predicates
+  :func:`contains` and :func:`is_horizontal_strip`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .crystal import pair_multisets
 from .oscillating import SSOT, OscStrip, _box_step
@@ -295,3 +298,41 @@ def strip_removals(strip: OscStrip) -> Counter:
 def ssot_chain(t: SSOT) -> tuple[Partition, ...]:
     """Every partition touched, junction shapes listed once."""
     return (t.inside,) + tuple(p for s in t.strips for p in strip_sequence(s)[1:])
+
+
+# ---------------------------------------------------------------------------
+# exhaustive corpora and shape predicates for the tests
+
+
+def matrices_with_sum(nrows: int, ncols: int, max_total: int) -> Iterator[Matrix]:
+    """All ``nrows x ncols`` nonnegative matrices with entry sum <= max_total."""
+    cells = nrows * ncols
+    flat = [0] * cells
+
+    def rec(k: int, left: int) -> Iterator[Matrix]:
+        if k == cells:
+            yield tuple(
+                tuple(flat[i * ncols : (i + 1) * ncols]) for i in range(nrows)
+            )
+            return
+        for v in range(left + 1):
+            flat[k] = v
+            yield from rec(k + 1, left - v)
+        flat[k] = 0
+
+    yield from rec(0, max_total)
+
+
+def contains(outer: Partition, inner: Partition) -> bool:
+    """True when the diagram of ``inner`` sits inside ``outer``."""
+    return len(inner) <= len(outer) and all(
+        inner[i] <= outer[i] for i in range(len(inner))
+    )
+
+
+def is_horizontal_strip(outer: Partition, inner: Partition) -> bool:
+    """True when ``outer/inner`` has at most one box in every column."""
+    if not contains(outer, inner):
+        return False
+    inner = inner + (0,) * (len(outer) - len(inner))
+    return all(outer[i + 1] <= inner[i] for i in range(len(outer) - 1))

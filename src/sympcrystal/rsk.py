@@ -76,25 +76,6 @@ def parse_matrix(text: str) -> Matrix:
     return matrix(rows)
 
 
-def matrices_with_sum(nrows: int, ncols: int, max_total: int) -> Iterator[Matrix]:
-    """All ``nrows x ncols`` nonnegative matrices with entry sum <= max_total."""
-    cells = nrows * ncols
-    flat = [0] * cells
-
-    def rec(k: int, left: int) -> Iterator[Matrix]:
-        if k == cells:
-            yield tuple(
-                tuple(flat[i * ncols : (i + 1) * ncols]) for i in range(nrows)
-            )
-            return
-        for v in range(left + 1):
-            flat[k] = v
-            yield from rec(k + 1, left - v)
-        flat[k] = 0
-
-    yield from rec(0, max_total)
-
-
 def symmetric_even_diagonal(n: int, max_row_sum: int) -> Iterator[Matrix]:
     """Symmetric ``n x n`` matrices, even diagonal, all row sums <= max_row_sum."""
     grid = [[0] * n for _ in range(n)]

@@ -19,7 +19,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from operator import ge, le, lt
 from typing import Iterable, Iterator
@@ -59,21 +59,6 @@ def conjugate(mu: Partition) -> Partition:
     if not mu:
         return ()
     return tuple(sum(1 for p in mu if p > i) for i in range(mu[0]))
-
-
-def contains(outer: Partition, inner: Partition) -> bool:
-    """True when the diagram of ``inner`` sits inside ``outer``."""
-    return len(inner) <= len(outer) and all(
-        inner[i] <= outer[i] for i in range(len(inner))
-    )
-
-
-def is_horizontal_strip(outer: Partition, inner: Partition) -> bool:
-    """True when ``outer/inner`` has at most one box in every column."""
-    if not contains(outer, inner):
-        return False
-    inner = inner + (0,) * (len(outer) - len(inner))
-    return all(outer[i + 1] <= inner[i] for i in range(len(outer) - 1))
 
 
 def interlacing_partitions(bounds: Iterable[tuple[int, int]]) -> Iterator[Partition]:
@@ -227,14 +212,22 @@ def parse_letter(tok: str) -> int:
 
 @dataclass(frozen=True)
 class Tableau:
-    """Semistandard Young tableau: weakly increasing rows, strict columns."""
+    """Semistandard Young tableau: weakly increasing rows, strict columns.
+
+    ``shape`` is derived from the rows once, at construction; it takes no
+    part in equality, hashing or ``repr``.
+    """
 
     rows: tuple[tuple[int, ...], ...]
+    shape: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
-        normalize_partition(tuple(map(len, rows)))
+        shape = tuple(map(len, rows))
+        if not all(map(ge, shape, shape[1:])):
+            normalize_partition(shape)  # raises, naming the shape
+        object.__setattr__(self, "shape", shape)
         if not all(rows):
             raise ValueError("empty row in tableau")
         for r in rows:
@@ -247,12 +240,8 @@ class Tableau:
                 raise ValueError("columns are not strictly increasing")
 
     @property
-    def shape(self) -> Partition:
-        return tuple(len(r) for r in self.rows)
-
-    @property
     def size(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(self.shape)
 
     def entries(self) -> Iterator[int]:
         for r in self.rows:

@@ -47,6 +47,7 @@ from sympcrystal.oracles import (
     complemented_row_pairs,
     inverse_column_word,
     longest_weakly_decreasing,
+    matrices_with_sum,
     rotate180,
     rsk_row,
     trace_tables,
@@ -57,7 +58,6 @@ from sympcrystal.rsk import (
     enumerate_admissible,
     is_admissible,
     is_symmetric,
-    matrices_with_sum,
     matrix,
     row_sums,
     rsk_column,

@@ -22,11 +22,11 @@ from sympcrystal.characters import (
     weyl_dimension,
 )
 from sympcrystal.crystal import ssot_stats
+from sympcrystal.oracles import is_horizontal_strip
 from sympcrystal.oscillating import enumerate_ssot, enumerate_strips
 from sympcrystal.tableaux import (
     conjugate,
     enumerate_king,
-    is_horizontal_strip,
     normalize_partition,
     partitions_of,
 )
@@ -93,6 +93,19 @@ def test_divide_exact_rejects_inexact_ratio():
         _divide_exact(x1, x1 + x2)
     with pytest.raises(ValueError):
         _divide_exact(x1 * x1 + x2, x1 + x2)
+
+
+def test_divide_exact_names_the_failed_step():
+    x1, x2 = LaurentCharacter.monomial((1, 0)), LaurentCharacter.monomial((0, 1))
+    with pytest.raises(ValueError, match="leading coefficients do not divide"):
+        _divide_exact(x1, 2 * x1)
+    with pytest.raises(ValueError, match="leaves the degree box"):
+        _divide_exact(x1, x1 + x2)
+
+
+def test_weyl_equals_king_on_a_large_shape():
+    # 1,099 terms: the division's heap works through a long remainder
+    assert weyl_character((6, 6, 6), 3) == king_character((6, 6, 6), 3)
 
 
 def test_divide_exact_recovers_products():

@@ -367,6 +367,39 @@ def test_verify_conjecture_evaluates_each_schur_once_per_call(capsys, monkeypatc
     capsys.readouterr()
 
 
+@pytest.fixture
+def operator_calls(monkeypatch):
+    """Counts calls into the base operators by (model, operator, x, i)."""
+    calls = Counter()
+    for cls in (crystal.SsotCrystal, crystal.MatrixCrystal):
+        for op in ("e", "f", "stats"):
+            def counting(self, x, i, real=getattr(cls, op), key=(cls.__name__, op)):
+                calls[(*key, x, i)] += 1
+                return real(self, x, i)
+
+            monkeypatch.setattr(cls, op, counting)
+    return calls
+
+
+def test_verify_crystal_applies_each_operator_once_per_vertex_and_index(
+    capsys, operator_calls
+):
+    cli.suite_crystal(3, 2)
+    assert {key[:2] for key in operator_calls} == {
+        (model, op) for model in ("SsotCrystal", "MatrixCrystal") for op in ("e", "f", "stats")
+    }
+    assert set(operator_calls.values()) == {1}
+    operator_calls.clear()
+    argv = ["verify", "crystal", "--m", "2", "--g", "2"]
+    assert main(argv) == 0
+    first = Counter(operator_calls)
+    assert first and set(first.values()) == {1}
+    # no memo outlives a call: the second computes everything again
+    assert main(argv) == 0
+    assert operator_calls.keys() == first.keys() and set(operator_calls.values()) == {2}
+    capsys.readouterr()
+
+
 def test_verify_all_smallest(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--m", "1", "--g", "1")
     assert code == 0

@@ -12,6 +12,7 @@ from sympcrystal.crystal import (
     CrystalGraph,
     KingCrystal,
     MatrixCrystal,
+    MemoCrystal,
     SsotCrystal,
     axiom_violations,
     crystal_graph,
@@ -493,19 +494,110 @@ def test_stembridge_on_classical_crystal():
     assert stembridge_violations(_TypeA(3), corpus, indices=(1, 2)) == []
 
 
-def test_stembridge_checker_detects_lies():
-    class Liar(_TypeA):
-        def stats(self, x, i):
-            eps, phi = ssyt_stats(x, i)
-            return eps + (5 if i == 2 else 0), phi
+class _Liar(_TypeA):
+    def stats(self, x, i):
+        eps, phi = ssyt_stats(x, i)
+        return eps + (5 if i == 2 else 0), phi
 
+
+def test_stembridge_checker_detects_lies():
     corpus = _classical_corpus(3, 3)
-    assert stembridge_violations(Liar(3), corpus, indices=(1, 2)) != []
+    assert stembridge_violations(_Liar(3), corpus, indices=(1, 2)) != []
 
 
 def test_stembridge_rejects_index_zero():
     with pytest.raises(ValueError):
         stembridge_violations(SsotCrystal(2, 1), [], indices=(0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the operator memo
+
+
+class _Unmemoised(MemoCrystal):
+    """Passes every call straight to the base: the checkers' raw route."""
+
+    def e(self, x, i):
+        return self.base.e(x, i)
+
+    def f(self, x, i):
+        return self.base.f(x, i)
+
+    def stats(self, x, i):
+        return self.base.stats(x, i)
+
+
+class _CrossedTypeA(_TypeA):
+    """Lowers at the other index, so ``f`` does not invert ``e``."""
+
+    def f(self, x, i):
+        return ssyt_lower(x, self.n - i)
+
+
+@dataclass(frozen=True)
+class _CrossedSsot(SsotCrystal):
+    """Lowers at index 0 when asked for index 1, so ``f`` does not invert ``e``."""
+
+    def f(self, x, i):
+        return super().f(x, 0 if i == 1 else i)
+
+
+def _desk_crystals():
+    for m in (1, 2, 3):
+        for g in (1, 2):
+            yield SsotCrystal(m, g), _ssot_corpus(m, g)
+            yield MatrixCrystal(m, g), list(enumerate_admissible(m, g))
+
+
+def _same_violations(crystal, corpus, check):
+    got = check(crystal, corpus)
+    assert got == check(_Unmemoised(crystal), corpus)
+    return got
+
+
+def test_memoised_checkers_match_raw_on_desk_corpora():
+    for crystal, corpus in _desk_crystals():
+        assert _same_violations(crystal, corpus, axiom_violations) == []
+        assert _same_violations(crystal, corpus, stembridge_violations) == []
+
+
+def test_memoised_checkers_match_raw_on_broken_crystals():
+    classical = _classical_corpus(3, 3)
+    for broken in (_Liar(3), _CrossedTypeA(3)):
+        # no m and no weight: only the Stembridge battery applies
+        assert not hasattr(MemoCrystal(broken), "weight")
+        assert _same_violations(broken, classical, stembridge_violations) != []
+    crossed = _CrossedSsot(3, 2)
+    assert _same_violations(crossed, _ssot_corpus(3, 2), axiom_violations) != []
+    assert _same_violations(crossed, _ssot_corpus(3, 2), stembridge_violations) != []
+
+
+def test_memo_stores_what_the_base_returned_and_no_exception():
+    @dataclass(frozen=True)
+    class Counting(SsotCrystal):
+        calls: Counter = field(default_factory=Counter, compare=False)
+
+        def e(self, x, i):
+            self.calls["e", x, i] += 1
+            return super().e(x, i)
+
+        def f(self, x, i):
+            self.calls["f", x, i] += 1
+            return super().f(x, i)
+
+    base = Counting(2, 1)
+    memo = MemoCrystal(base)
+    assert (memo.indices, memo.m, memo.g) == ((0, 1), 2, 1)
+    x = next(t for t in enumerate_ssot(None, 2, 1) if base.e(t, 0) is not None)
+    base.calls.clear()
+    y = memo.e(x, 0)
+    assert memo.e(x, 0) is y and memo.weight(y) == base.weight(y)
+    # f(e(x)) is asked of the base, not inferred to be x
+    assert memo.f(y, 0) == x and base.calls == Counter({("e", x, 0): 1, ("f", y, 0): 1})
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            memo.e(x, 5)
+    assert base.calls["e", x, 5] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sympcrystal import oscillating
-from sympcrystal.oracles import ssot_chain, strip_additions, strip_removals, strip_sequence
+from sympcrystal.oracles import (
+    is_horizontal_strip,
+    ssot_chain,
+    strip_additions,
+    strip_removals,
+    strip_sequence,
+)
 from sympcrystal.oscillating import (
     SSOT,
     OscStrip,
@@ -17,7 +23,7 @@ from sympcrystal.oscillating import (
     ssot_from_text,
     ssot_to_text,
 )
-from sympcrystal.tableaux import is_horizontal_strip, partitions_in_box
+from sympcrystal.tableaux import partitions_in_box
 
 
 def running_example():

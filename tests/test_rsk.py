@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from sympcrystal.oracles import (
     complemented_row_pairs,
     longest_weakly_decreasing,
+    matrices_with_sum,
     rotate180,
     row_insert,
     row_insert_word,
@@ -21,7 +22,6 @@ from sympcrystal.rsk import (
     format_matrix,
     is_admissible,
     is_symmetric,
-    matrices_with_sum,
     matrix,
     matrix_from_pairs,
     parse_matrix,

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sympcrystal.oracles import contains, is_horizontal_strip
 from sympcrystal.tableaux import (
     KingTableau,
     Tableau,
     conjugate,
-    contains,
     coroot_pairing,
     enumerate_king,
     format_letter,
     format_partition,
-    is_horizontal_strip,
     king_from_text,
     king_to_text,
     king_weight,
