@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -570,6 +571,35 @@ def test_memoised_checkers_match_raw_on_broken_crystals():
     crossed = _CrossedSsot(3, 2)
     assert _same_violations(crossed, _ssot_corpus(3, 2), axiom_violations) != []
     assert _same_violations(crossed, _ssot_corpus(3, 2), stembridge_violations) != []
+
+
+def _digest(lines):
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_violation_lists_are_pinned():
+    """Exact text and order of every message on the broken crystals."""
+    classical, ssot = _classical_corpus(3, 3), _ssot_corpus(3, 2)
+    liar = stembridge_violations(_Liar(3), classical)
+    assert liar[:3] == [
+        "raises 1,2 do not commute: 2",
+        "raises 1,2 do not commute: 1 2",
+        "raises 1,2 do not commute: 2 2",
+    ]
+    assert _digest(liar) == (
+        8, "71e26ee471fdb4ac498270e214fff4787ea4097914d5315275b450b8c7c102eb")
+    crossed = stembridge_violations(_CrossedTypeA(3), classical)
+    assert crossed[:3] == [
+        "lower 2 broke the 1 dichotomy: 1",
+        "lower 1 broke the 2 dichotomy: 2",
+        "lower 2 broke the 1 dichotomy: 1 1",
+    ]
+    assert _digest(crossed) == (
+        30, "5cfbb85c925b3f733aaf01af88f08fe8b6107d3f777980f9573412674b543973")
+    assert _digest(axiom_violations(_CrossedSsot(3, 2), ssot)) == (
+        1438, "d7417963002176d2152423ac0eb521ecce5e85e3cd444a0b90e83fc5164af654")
+    assert _digest(stembridge_violations(_CrossedSsot(3, 2), ssot)) == (
+        450, "7cb88855099ad31b26412ab3fe7d791503610b9940171c59fe056e80daa5c8cb")
 
 
 def test_memo_stores_what_the_base_returned_and_no_exception():
