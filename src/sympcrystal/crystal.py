@@ -295,8 +295,10 @@ def matrix_weight(m: Matrix, g: int) -> Weight:
 
 
 @dataclass(frozen=True)
-class SsotCrystal:
-    """Oscillating tableaux with m strips, peaks at most g columns wide."""
+class _Adapter:
+    """A crystal with indices 0..m-1 whose peaks are at most g columns wide.
+    Each model keeps ``e`` and ``f`` in its own class body, where
+    ``perfbench/tracer.py`` finds them."""
 
     m: int
     g: int
@@ -304,6 +306,10 @@ class SsotCrystal:
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(range(self.m))
+
+
+class SsotCrystal(_Adapter):
+    """Oscillating tableaux with m strips, peaks at most g columns wide."""
 
     def e(self, x: SSOT, i: int) -> SSOT | None:
         return ssot_raise(x, i)
@@ -318,17 +324,9 @@ class SsotCrystal:
         return x.crystal_weight(self.g)
 
 
-@dataclass(frozen=True)
-class MatrixCrystal:
+class MatrixCrystal(_Adapter):
     """Symmetric even-diagonal m-by-m matrices with at most 2g columns
     after insertion."""
-
-    m: int
-    g: int
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(range(self.m))
 
     def e(self, x: Matrix, i: int) -> Matrix | None:
         return matrix_raise(x, i, self.g)
@@ -343,17 +341,9 @@ class MatrixCrystal:
         return matrix_weight(x, self.g)
 
 
-@dataclass(frozen=True)
-class KingCrystal:
+class KingCrystal(_Adapter):
     """King tableaux on m barred letters, shapes inside an m-by-g box,
     carried over from the oscillating model."""
-
-    m: int
-    g: int
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(range(self.m))
 
     def _carry(self, x: KingTableau, op, i: int):
         out = op(psi(x, self.m, self.g), i)
@@ -434,11 +424,7 @@ class CrystalGraph:
     vertices: tuple
     edges: tuple[tuple[int, int, int], ...]
     weights: tuple[Weight, ...]
-    labels: tuple[str, ...] = field(compare=False, repr=False, default=None)
-
-    def __post_init__(self):
-        if self.labels is None:
-            object.__setattr__(self, "labels", tuple(map(str, self.vertices)))
+    labels: tuple[str, ...] = field(compare=False, repr=False)
 
     def highest_weight_vertices(self) -> tuple:
         """Vertices with no incoming lowering edge."""
@@ -529,10 +515,17 @@ def graph_to_dot(graph: CrystalGraph) -> str:
 # structural checks
 
 
-def string_length(op, x, i: int) -> int:
-    """How often ``op(., i)`` applies from x before returning None."""
+# Each rule has one body, run on two sides: k = 0 raises (``e``, eps at
+# position 0 of a stats pair, root added), k = 1 lowers (``f``, phi at
+# position 1, root subtracted).  The raising side always runs first.
+_VERBS, _STATS = ("raise", "lower"), ("eps", "phi")
+
+
+def string_length(op, x, i: int, stat: int) -> int:
+    """How often ``op(., i)`` applies from x before returning None, counted
+    up to ``stat + 1``: a longer string, or a cycle, is not followed further."""
     k = 0
-    while (x := op(x, i)) is not None:
+    while k <= stat and (x := op(x, i)) is not None:
         k += 1
     return k
 
@@ -546,49 +539,41 @@ def axiom_violations(crystal, vertices) -> list[str]:
     (vertex, index).
     """
     crystal = memoised(crystal)
+    ops = (crystal.e, crystal.f)
     bad: list[str] = []
     m = crystal.m
     for x in vertices:
         wx = crystal.weight(x)
         for i in crystal.indices:
-            eps, phi = crystal.stats(x, i)
+            stats = crystal.stats(x, i)
             alpha = simple_root(i, m)
-            if phi - eps != coroot_pairing(wx, i):
+            if stats[1] - stats[0] != coroot_pairing(wx, i):
                 bad.append(f"phi-eps mismatch at index {i}: {x}")
-            if eps != string_length(crystal.e, x, i):
-                bad.append(f"eps is not the iterated count at index {i}: {x}")
-            if phi != string_length(crystal.f, x, i):
-                bad.append(f"phi is not the iterated count at index {i}: {x}")
-            y = crystal.e(x, i)
-            if y is not None:
-                if crystal.f(y, i) != x:
-                    bad.append(f"raise at {i} does not invert: {x}")
-                if crystal.weight(y) != tuple(a + b for a, b in zip(wx, alpha)):
-                    bad.append(f"raise at {i} has the wrong weight shift: {x}")
-            if (y is not None) != (eps > 0):
-                bad.append(f"raise at {i} disagrees with eps: {x}")
-            z = crystal.f(x, i)
-            if z is not None:
-                if crystal.e(z, i) != x:
-                    bad.append(f"lower at {i} does not invert: {x}")
-                if crystal.weight(z) != tuple(a - b for a, b in zip(wx, alpha)):
-                    bad.append(f"lower at {i} has the wrong weight shift: {x}")
-            if (z is not None) != (phi > 0):
-                bad.append(f"lower at {i} disagrees with phi: {x}")
+            for k in (0, 1):
+                if stats[k] != string_length(ops[k], x, i, stats[k]):
+                    bad.append(f"{_STATS[k]} is not the iterated count at index {i}: {x}")
+            for k in (0, 1):
+                verb, sign = _VERBS[k], 1 - 2 * k
+                y = ops[k](x, i)
+                if y is not None:
+                    if ops[1 - k](y, i) != x:
+                        bad.append(f"{verb} at {i} does not invert: {x}")
+                    if crystal.weight(y) != tuple(a + sign * b for a, b in zip(wx, alpha)):
+                        bad.append(f"{verb} at {i} has the wrong weight shift: {x}")
+                if (y is not None) != (stats[k] > 0):
+                    bad.append(f"{verb} at {i} disagrees with {_STATS[k]}: {x}")
     return bad
 
 
-def stembridge_violations(crystal, vertices, indices=None) -> list[str]:
-    """The local type-A axioms on the chosen indices (all >= 1): the
+def stembridge_violations(crystal, vertices) -> list[str]:
+    """The local type-A axioms on every index >= 1 of ``crystal``: the
     dichotomy for neighbouring indices, the commutation rules, and their
     lowering-side duals; distant indices must commute and leave each
     other's statistics alone.  The operators are read through
     :func:`memoised`, as in :func:`axiom_violations`."""
     crystal = memoised(crystal)
-    if indices is None:
-        indices = [i for i in crystal.indices if i >= 1]
-    if any(i < 1 for i in indices):
-        raise ValueError("checks apply to indices >= 1 only")
+    ops = (crystal.e, crystal.f)
+    indices = [i for i in crystal.indices if i >= 1]
     bad: list[str] = []
     if len(indices) < 2:
         return bad  # no pair of indices to check
@@ -596,82 +581,58 @@ def stembridge_violations(crystal, vertices, indices=None) -> list[str]:
         stats = {i: crystal.stats(x, i) for i in indices}
         for i in indices:
             for j in indices:
-                if i == j:
-                    continue
-                if abs(i - j) >= 2:
-                    bad.extend(_check_distant(crystal, x, i, j, stats[j]))
-                else:
-                    bad.extend(_check_adjacent(crystal, x, i, j, stats[i], stats[j]))
+                if i != j:
+                    check = _check_distant if abs(i - j) >= 2 else _check_adjacent
+                    for k in (0, 1):
+                        bad.extend(check(crystal, ops[k], x, i, j, stats, k))
     return bad
 
 
-def _check_distant(crystal, x, i: int, j: int, stats_j: tuple[int, int]) -> list[str]:
+def _check_distant(crystal, op, x, i: int, j: int, stats: dict, k: int) -> list[str]:
+    """On side k, whose operator is ``op``, distant indices i, j commute and
+    i leaves x's j statistics alone."""
+    verb = _VERBS[k]
+    y = op(x, i)
+    if y is None:
+        return []
     bad = []
-    y = crystal.e(x, i)
-    if y is not None:
-        if crystal.stats(y, j) != stats_j:
-            bad.append(f"distant raise {i} moved the {j} statistics: {x}")
-        z = crystal.e(x, j)
-        if z is not None and crystal.e(y, j) != crystal.e(z, i):
-            bad.append(f"distant raises {i},{j} do not commute: {x}")
-    u = crystal.f(x, i)
-    if u is not None:
-        if crystal.stats(u, j) != stats_j:
-            bad.append(f"distant lower {i} moved the {j} statistics: {x}")
-        w = crystal.f(x, j)
-        if w is not None and crystal.f(u, j) != crystal.f(w, i):
-            bad.append(f"distant lowers {i},{j} do not commute: {x}")
+    if crystal.stats(y, j) != stats[j]:
+        bad.append(f"distant {verb} {i} moved the {j} statistics: {x}")
+    z = op(x, j)
+    if z is not None and op(y, j) != op(z, i):
+        bad.append(f"distant {verb}s {i},{j} do not commute: {x}")
     return bad
 
 
-def _check_adjacent(crystal, x, i: int, j: int, stats_i: tuple[int, int],
-                    stats_j: tuple[int, int]) -> list[str]:
-    """The rules at x for neighbouring indices i, j, given x's (eps, phi)
-    at i and at j."""
+def _check_adjacent(crystal, op, x, i: int, j: int, stats: dict, k: int) -> list[str]:
+    """The rules at x on side k, whose operator is ``op``, for neighbouring
+    indices i, j, given x's (eps, phi) at every index.  ``near`` is the
+    side's own statistic (eps when raising), ``far`` the other one."""
+    verb = _VERBS[k]
+    near, far = _STATS[k], _STATS[1 - k]
+    si, sj = stats[i], stats[j]
     bad = []
-    (eps_i, phi_i), (eps_j, phi_j) = stats_i, stats_j
-    ei_x = crystal.e(x, i)
-    if ei_x is not None:
-        eps, phi = crystal.stats(ei_x, j)
-        de, dp = eps - eps_j, phi - phi_j
-        if (de, dp) not in {(0, -1), (1, 0)}:
-            bad.append(f"raise {i} broke the {j} dichotomy: {x}")
-        if de == 0 and eps_j > 0:
-            # raising i left the j statistics alone: the two raises commute
-            # and raising j bumps eps_i without touching phi_i
-            ej_x = crystal.e(x, j)
-            if ej_x is None or crystal.e(ej_x, i) != crystal.e(ei_x, j):
-                bad.append(f"raises {i},{j} do not commute: {x}")
+    oi_x = op(x, i)
+    if oi_x is not None:
+        s = crystal.stats(oi_x, j)
+        d_near, d_far = s[k] - sj[k], s[1 - k] - sj[1 - k]
+        if (d_near, d_far) not in {(0, -1), (1, 0)}:
+            bad.append(f"{verb} {i} broke the {j} dichotomy: {x}")
+        if d_near == 0 and sj[k] > 0:
+            # applying i left near_j alone: the two operators
+            # commute, and applying j bumps near_i without touching far_i
+            oj_x = op(x, j)
+            if oj_x is None or op(oj_x, i) != op(oi_x, j):
+                bad.append(f"{verb}s {i},{j} do not commute: {x}")
             else:
-                eps, phi = crystal.stats(ej_x, i)
-                if phi != phi_i:
-                    bad.append(f"raise {j} moved phi_{i}: {x}")
-                elif eps != eps_i + 1:
-                    bad.append(f"raise {j} did not bump eps_{i}: {x}")
-    ej_x = crystal.e(x, j)
-    if ej_x is not None and crystal.stats(ej_x, i)[0] == eps_i + 1:
-        eiej = crystal.e(ej_x, i)
-        if eiej is None or crystal.stats(eiej, j)[0] != eps_j - 1:
-            bad.append(f"raise pair {i},{j} did not drop eps_{j}: {x}")
-    fi_x = crystal.f(x, i)
-    if fi_x is not None:
-        eps, phi = crystal.stats(fi_x, j)
-        dp, de = phi - phi_j, eps - eps_j
-        if (dp, de) not in {(0, -1), (1, 0)}:
-            bad.append(f"lower {i} broke the {j} dichotomy: {x}")
-        if dp == 0 and phi_j > 0:
-            fj_x = crystal.f(x, j)
-            if fj_x is None or crystal.f(fj_x, i) != crystal.f(fi_x, j):
-                bad.append(f"lowers {i},{j} do not commute: {x}")
-            else:
-                eps, phi = crystal.stats(fj_x, i)
-                if eps != eps_i:
-                    bad.append(f"lower {j} moved eps_{i}: {x}")
-                elif phi != phi_i + 1:
-                    bad.append(f"lower {j} did not bump phi_{i}: {x}")
-    fj_x = crystal.f(x, j)
-    if fj_x is not None and crystal.stats(fj_x, i)[1] == phi_i + 1:
-        fifj = crystal.f(fj_x, i)
-        if fifj is None or crystal.stats(fifj, j)[1] != phi_j - 1:
-            bad.append(f"lower pair {i},{j} did not drop phi_{j}: {x}")
+                s = crystal.stats(oj_x, i)
+                if s[1 - k] != si[1 - k]:
+                    bad.append(f"{verb} {j} moved {far}_{i}: {x}")
+                elif s[k] != si[k] + 1:
+                    bad.append(f"{verb} {j} did not bump {near}_{i}: {x}")
+    oj_x = op(x, j)
+    if oj_x is not None and crystal.stats(oj_x, i)[k] == si[k] + 1:
+        oioj = op(oj_x, i)
+        if oioj is None or crystal.stats(oioj, j)[k] != sj[k] - 1:
+            bad.append(f"{verb} pair {i},{j} did not drop {near}_{j}: {x}")
     return bad

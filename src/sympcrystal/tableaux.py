@@ -308,14 +308,19 @@ class KingTableau:
 
     Rows weakly increase and columns strictly increase in the barred order,
     and every entry in row ``i`` is at least the plain letter ``i``.
+    ``shape`` is derived once, at construction, as for :class:`Tableau`.
     """
 
     rows: tuple[tuple[int, ...], ...]
+    shape: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
-        normalize_partition(tuple(map(len, rows)))
+        shape = tuple(map(len, rows))
+        if not all(map(ge, shape, shape[1:])):
+            normalize_partition(shape)  # raises, naming the shape
+        object.__setattr__(self, "shape", shape)
         if not all(rows):
             raise ValueError("empty row in tableau")
         ranks = []
@@ -329,10 +334,6 @@ class KingTableau:
         for upper, lower in zip(ranks, ranks[1:]):
             if not all(map(lt, upper, lower)):
                 raise ValueError("columns are not strictly increasing")
-
-    @property
-    def shape(self) -> Partition:
-        return tuple(len(r) for r in self.rows)
 
     @property
     def max_letter(self) -> int:
