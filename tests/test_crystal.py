@@ -421,6 +421,46 @@ def test_matrix_ops_preserve_admissible_and_symmetry():
 
 
 # ---------------------------------------------------------------------------
+# every operator output, pinned
+
+
+_PINNED_MG = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+
+
+def _op_line(x, i, up, down) -> str:
+    return "\t".join([str(x), str(i)] + ["none" if y is None else str(y) for y in (up, down)])
+
+
+def _crystal_lines(model, vertices) -> list[str]:
+    lines = []
+    for m, g in _PINNED_MG:
+        cr = model(m, g)
+        lines += [_op_line(x, i, cr.e(x, i), cr.f(x, i))
+                  for x in vertices(m, g) for i in cr.indices]
+    return lines
+
+
+def test_operator_outputs_are_pinned():
+    """The exact raise and lower of every vertex and index, index 0 included,
+    on each model; every digest was recorded before the two sides of each
+    operator shared one body."""
+    def kings(m, g):
+        return [t for mu in partitions_in_box(m, g) for t in enumerate_king(mu, m)]
+
+    assert _digest(_crystal_lines(SsotCrystal, lambda m, g: enumerate_ssot(None, m, g))) == (
+        2064, "e2e44f64a395563cf0ea045eba597b83ea163e403d1e473ba5fb2fb914fead6c")
+    assert _digest(_crystal_lines(MatrixCrystal, enumerate_admissible)) == (
+        401, "522f10e10dffc6a9bb9da78ae0138a0987c97adf3a3fdea6ca0e35767913c8bf")
+    assert _digest(_crystal_lines(KingCrystal, kings)) == (
+        2064, "b95dcf62d654b75e788a4ff82762e3637fedb2a90a0a767e7007853fb6da6eba")
+    ssyt = [_op_line(t, i, ssyt_raise(t, i), ssyt_lower(t, i))
+            for lam in partitions_in_box(3, 3)
+            for t in tableaux_of_shape(lam, 4) for i in (1, 2, 3)]
+    assert _digest(ssyt) == (
+        1638, "a13334aab2507ede3c9c2d4f56ea1e1513a9dfca94af0c2caea154f59e26dfab")
+
+
+# ---------------------------------------------------------------------------
 # axioms, equivariance, Stembridge
 
 
