@@ -41,14 +41,12 @@ from .crystal import (
     MatrixCrystal,
     MemoCrystal,
     SsotCrystal,
+    _matrix_move,
+    _ssot_move,
     axiom_violations,
     crystal_graph,
     graph_to_adjacency,
     graph_to_dot,
-    matrix_lower,
-    matrix_raise,
-    ssot_lower,
-    ssot_raise,
     stembridge_violations,
 )
 from .oscillating import enumerate_ssot, ssot_from_text
@@ -85,8 +83,7 @@ class UsageError(Exception):
 
 
 def king_line(t) -> str:
-    return " / ".join(" ".join(p) for p in
-                      (line.split() for line in king_to_text(t).splitlines())) or "-"
+    return " / ".join(king_to_text(t).splitlines()) or "-"
 
 
 def parse_king_text(text: str):
@@ -147,17 +144,12 @@ def cmd_crystal_apply(args):
     if args.g is None:
         raise UsageError("crystal apply needs --g")
     text = read_input(args.input)
-    i = args.index
+    k = ("raise", "lower").index(args.op)  # the side: 0 raises, 1 lowers
     if _looks_like_matrix(text):
-        mat = parse_matrix(text)
-        out = (
-            matrix_raise(mat, i, args.g)
-            if args.op == "raise"
-            else matrix_lower(mat, i, args.g)
-        )
+        out = _matrix_move(parse_matrix(text), args.index, args.g, k)
         return (["none"] if out is None else format_matrix(out).splitlines()), True
     t = ssot_from_text(text, inside=parse_partition(args.inside))
-    out = ssot_raise(t, i) if args.op == "raise" else ssot_lower(t, i, args.g)
+    out = _ssot_move(t, args.index, args.g, k)
     return [str(out) if out is not None else "none"], True
 
 
@@ -178,11 +170,15 @@ def cmd_crystal_decompose(args):
     # one highest-weight chain per component: epsilon is zero at every index
     highest = enumerate_ssot(outside, args.m, args.g, eps_bound=(0,) * args.m)
     counts = Counter(weight_to_partition(t.crystal_weight(args.g)) for t in highest)
-    lines = [
+    return partition_count_lines(counts), True
+
+
+def partition_count_lines(counts) -> list[str]:
+    """One ``[nu]\tcount`` line per shape, ordered by (size, nu)."""
+    return [
         f"{format_partition(nu)}\t{counts[nu]}"
         for nu in sorted(counts, key=lambda p: (sum(p), p))
     ]
-    return lines, True
 
 
 def char_lines(f, fmt: str):
@@ -205,12 +201,7 @@ def cmd_char(args):
         f = LaurentCharacter.one(args.m)
         if args.mu is not None:
             f = schur_eval(parse_partition(args.mu), args.m)
-        dec = brauer_klimyk(lam, f, args.m)
-        lines = [
-            f"{format_partition(nu)}\t{dec[nu]}"
-            for nu in sorted(dec, key=lambda p: (sum(p), p))
-        ]
-        return lines, True
+        return partition_count_lines(brauer_klimyk(lam, f, args.m)), True
     # pieri: strip counts for one column length, optionally a single target
     lam = parse_partition(args.lam)
     ell = args.index
@@ -241,10 +232,10 @@ def suite_bijections(m, g):
         kings = enumerate_king(mu, m)
         ssots = by_outside.get(rect_complement(mu, m, g), [])
         pairs += len(kings)
-        if sorted(map(str, (psi(t, m, g) for t in kings))) != sorted(map(str, ssots)):
+        images = [psi(t, m, g) for t in kings]
+        if sorted(map(str, images)) != sorted(map(str, ssots)):
             weight_ok = False
-        for t in kings:
-            s = psi(t, m, g)
+        for t, s in zip(kings, images):
             if psi_inverse(s, g) != t or king_weight(t, m) != s.crystal_weight(g):
                 weight_ok = False
     _check(rows, "bijections", "king_transport_round_trip", weight_ok,
@@ -279,33 +270,26 @@ def suite_crystal(m, g):
     # one operator memo per model, shared by every check below and dropped
     # on return
     osc_cr, mat_cr = MemoCrystal(SsotCrystal(m, g)), MemoCrystal(MatrixCrystal(m, g))
-    v = axiom_violations(osc_cr, corpus)
-    _check(rows, "crystal", "axioms_oscillating", not v,
-           v[0] if v else f"vertices={len(corpus)}")
-    v = axiom_violations(mat_cr, mats)
-    _check(rows, "crystal", "axioms_matrix", not v,
-           v[0] if v else f"vertices={len(mats)}")
-    route_ok = True
-    checked = 0
-    for mat in mats:
-        for i in range(1, m):
-            checked += 2
-            if mat_cr.e(mat, i) != matrix_raise_surgery(mat, i):
-                route_ok = False
-            if mat_cr.f(mat, i) != matrix_lower_surgery(mat, i):
-                route_ok = False
-    _check(rows, "crystal", "insertion_vs_surgery", route_ok, f"checks={checked}")
+    for name, cr, vertices in (("oscillating", osc_cr, corpus), ("matrix", mat_cr, mats)):
+        v = axiom_violations(cr, vertices)
+        _check(rows, "crystal", f"axioms_{name}", not v,
+               v[0] if v else f"vertices={len(vertices)}")
+    # side 0 raises, side 1 lowers; every comparison runs, none exits early
+    osc_ops, mat_ops = (osc_cr.e, osc_cr.f), (mat_cr.e, mat_cr.f)
+    surgery = (matrix_raise_surgery, matrix_lower_surgery)
+    same = [mat_ops[k](mat, i) == surgery[k](mat, i)
+            for mat in mats for i in range(1, m) for k in (0, 1)]
+    _check(rows, "crystal", "insertion_vs_surgery", all(same), f"checks={len(same)}")
     equi_ok = True
     checked = 0
     for t in [t for t in corpus if t.outside == ()]:
         mat = phi(t)
         for i in range(m):
             checked += 1
-            up, down = osc_cr.e(t, i), osc_cr.f(t, i)
-            if (None if up is None else phi(up)) != mat_cr.e(mat, i):
-                equi_ok = False
-            if (None if down is None else phi(down)) != mat_cr.f(mat, i):
-                equi_ok = False
+            for k in (0, 1):
+                y = osc_ops[k](t, i)
+                if (None if y is None else phi(y)) != mat_ops[k](mat, i):
+                    equi_ok = False
             if osc_cr.stats(t, i) != mat_cr.stats(mat, i):
                 equi_ok = False
     _check(rows, "crystal", "transport_equivariance", equi_ok, f"checks={checked}")

@@ -4,6 +4,8 @@ Index 0 is the long-root direction: it touches only the first strip of an
 oscillating tableau (equivalently the top-left matrix entry).  Indices
 1..m-1 form a type-A chain and act through the bracket (signature) rule on
 ascending lists of signed rows at the junction of two consecutive strips.
+Each model's raise and lower are the two sides of one body (side 0 raises,
+side 1 lowers); the public names are one-line calls to their side.
 """
 
 from __future__ import annotations
@@ -94,26 +96,25 @@ def _ssyt_scan(t: Tableau, i: int) -> tuple[list[tuple[int, int]], list[tuple[in
     return opens, closes
 
 
-def _ssyt_set(t: Tableau, cell: tuple[int, int], value: int) -> Tableau:
+def _ssyt_move(t: Tableau, i: int, k: int) -> Tableau | None:
+    """:func:`ssyt_raise` on side 0, :func:`ssyt_lower` on side 1."""
+    unpaired = _ssyt_scan(t, i)[1 - k]
+    if not unpaired:
+        return None
+    r, c = unpaired[k - 1]  # the last on side 0, the first on side 1
     rows = [list(row) for row in t.rows]
-    rows[cell[0]][cell[1]] = value
+    rows[r][c] = i + k
     return Tableau(tuple(tuple(row) for row in rows))
 
 
 def ssyt_raise(t: Tableau, i: int) -> Tableau | None:
     """Turn the last unpaired i+1 into an i; None if there is none."""
-    _, closes = _ssyt_scan(t, i)
-    if not closes:
-        return None
-    return _ssyt_set(t, closes[-1], i)
+    return _ssyt_move(t, i, 0)
 
 
 def ssyt_lower(t: Tableau, i: int) -> Tableau | None:
     """Turn the first unpaired i into an i+1; None if there is none."""
-    opens, _ = _ssyt_scan(t, i)
-    if not opens:
-        return None
-    return _ssyt_set(t, opens[0], i + 1)
+    return _ssyt_move(t, i, 1)
 
 
 def ssyt_stats(t: Tableau, i: int) -> tuple[int, int]:
@@ -174,45 +175,38 @@ def _check_junction_index(t: SSOT, i: int) -> None:
         raise ValueError(f"index {i} out of range for {len(t.strips)} strips")
 
 
+def _ssot_move(t: SSOT, i: int, g: int, k: int) -> SSOT | None:
+    """:func:`ssot_raise` on side 0, :func:`ssot_lower` on side 1.  At index
+    0 a side stops once its statistic is 0: eps counts the removals of the
+    first strip, phi is g minus its additions."""
+    if i == 0:
+        a, b = _first_strip_counts(t)
+        if (b, g - a)[k] <= 0:
+            return None
+        s = (-1, 1)[k]
+        return t.replace(0, OscStrip((), (1,) * (a + s) + (-1,) * (b + s)))
+    _check_junction_index(t, i)
+    lists = strip_pair_multisets(t, i)
+    unpaired = pair_multisets(*lists)[1 - k]
+    if not unpaired:
+        return None
+    q = unpaired[k - 1]  # the largest d on side 0, the smallest c on side 1
+    lists[1 - k].remove(q)
+    insort(lists[k], q)
+    return _rebuild_junction(t, i, *lists)
+
+
 def ssot_raise(t: SSOT, i: int) -> SSOT | None:
     """Raising operator; index 0 deletes a (1,-1) pair from the first strip,
     index i >= 1 moves the largest unpaired junction element leftward."""
-    if i == 0:
-        a, b = _first_strip_counts(t)
-        if b == 0:
-            return None
-        word = (1,) * (a - 1) + (-1,) * (b - 1)
-        return t.replace(0, OscStrip((), word))
-    _check_junction_index(t, i)
-    c, d = strip_pair_multisets(t, i)
-    _, left_d = pair_multisets(c, d)
-    if not left_d:
-        return None
-    q = left_d[-1]
-    d.remove(q)
-    insort(c, q)
-    return _rebuild_junction(t, i, c, d)
+    return _ssot_move(t, i, 0, 0)  # g is read on the lowering side only
 
 
 def ssot_lower(t: SSOT, i: int, g: int) -> SSOT | None:
     """Lowering operator; index 0 appends a (1,-1) pair to the first strip
     (None once it holds g additions), index i >= 1 moves the smallest
     unpaired junction element rightward."""
-    if i == 0:
-        a, b = _first_strip_counts(t)
-        if a >= g:
-            return None
-        word = (1,) * (a + 1) + (-1,) * (b + 1)
-        return t.replace(0, OscStrip((), word))
-    _check_junction_index(t, i)
-    c, d = strip_pair_multisets(t, i)
-    left_c, _ = pair_multisets(c, d)
-    if not left_c:
-        return None
-    p = left_c[0]
-    c.remove(p)
-    insort(d, p)
-    return _rebuild_junction(t, i, c, d)
+    return _ssot_move(t, i, g, 1)
 
 
 def ssot_stats(t: SSOT, i: int, g: int) -> tuple[int, int]:
@@ -246,35 +240,31 @@ def _checked_insertion(m: Matrix, i: int, g: int) -> tuple[Tableau, Tableau] | N
     return pair
 
 
-def _adjust_corner(m: Matrix, delta: int) -> Matrix:
-    rows = [list(r) for r in m]
-    rows[0][0] += delta
-    return matrix(rows)
+def _matrix_move(m: Matrix, i: int, g: int, k: int) -> Matrix | None:
+    """:func:`matrix_raise` on side 0, :func:`matrix_lower` on side 1."""
+    pair = _checked_insertion(m, i, g)
+    if pair is None:
+        corner = m[0][0] + (-2, 2)[k]
+        if corner < 0:
+            return None
+        out = matrix([(corner, *m[0][1:]), *m[1:]])
+        return out if k == 0 or c_index(out) <= 2 * g else None
+    p2, q2 = (_ssyt_move(t, i, k) for t in pair)
+    if p2 is None or q2 is None:
+        return None
+    return rsk_column_inverse(p2, q2, len(m), len(m[0]))
 
 
 def matrix_raise(m: Matrix, i: int, g: int) -> Matrix | None:
     """Index 0 removes two units from the top-left entry; index i >= 1 acts
     through the type-A raise on both insertion and recording tableaux."""
-    pair = _checked_insertion(m, i, g)
-    if pair is None:
-        return _adjust_corner(m, -2) if m[0][0] >= 2 else None
-    p2, q2 = ssyt_raise(pair[0], i), ssyt_raise(pair[1], i)
-    if p2 is None or q2 is None:
-        return None
-    return rsk_column_inverse(p2, q2, len(m), len(m[0]))
+    return _matrix_move(m, i, g, 0)
 
 
 def matrix_lower(m: Matrix, i: int, g: int) -> Matrix | None:
     """Index 0 adds two units to the top-left entry (None when that would
     push the tableau pair past 2g columns); index i >= 1 lowers both."""
-    pair = _checked_insertion(m, i, g)
-    if pair is None:
-        out = _adjust_corner(m, 2)
-        return out if c_index(out) <= 2 * g else None
-    p2, q2 = ssyt_lower(pair[0], i), ssyt_lower(pair[1], i)
-    if p2 is None or q2 is None:
-        return None
-    return rsk_column_inverse(p2, q2, len(m), len(m[0]))
+    return _matrix_move(m, i, g, 1)
 
 
 def matrix_stats(m: Matrix, i: int, g: int) -> tuple[int, int]:
@@ -312,10 +302,10 @@ class SsotCrystal(_Adapter):
     """Oscillating tableaux with m strips, peaks at most g columns wide."""
 
     def e(self, x: SSOT, i: int) -> SSOT | None:
-        return ssot_raise(x, i)
+        return _ssot_move(x, i, self.g, 0)
 
     def f(self, x: SSOT, i: int) -> SSOT | None:
-        return ssot_lower(x, i, self.g)
+        return _ssot_move(x, i, self.g, 1)
 
     def stats(self, x: SSOT, i: int) -> tuple[int, int]:
         return ssot_stats(x, i, self.g)
@@ -329,10 +319,10 @@ class MatrixCrystal(_Adapter):
     after insertion."""
 
     def e(self, x: Matrix, i: int) -> Matrix | None:
-        return matrix_raise(x, i, self.g)
+        return _matrix_move(x, i, self.g, 0)
 
     def f(self, x: Matrix, i: int) -> Matrix | None:
-        return matrix_lower(x, i, self.g)
+        return _matrix_move(x, i, self.g, 1)
 
     def stats(self, x: Matrix, i: int) -> tuple[int, int]:
         return matrix_stats(x, i, self.g)
@@ -345,15 +335,15 @@ class KingCrystal(_Adapter):
     """King tableaux on m barred letters, shapes inside an m-by-g box,
     carried over from the oscillating model."""
 
-    def _carry(self, x: KingTableau, op, i: int):
-        out = op(psi(x, self.m, self.g), i)
+    def _carry(self, x: KingTableau, i: int, k: int) -> KingTableau | None:
+        out = _ssot_move(psi(x, self.m, self.g), i, self.g, k)
         return None if out is None else psi_inverse(out, self.g)
 
     def e(self, x: KingTableau, i: int) -> KingTableau | None:
-        return self._carry(x, ssot_raise, i)
+        return self._carry(x, i, 0)
 
     def f(self, x: KingTableau, i: int) -> KingTableau | None:
-        return self._carry(x, lambda t, j: ssot_lower(t, j, self.g), i)
+        return self._carry(x, i, 1)
 
     def stats(self, x: KingTableau, i: int) -> tuple[int, int]:
         return ssot_stats(psi(x, self.m, self.g), i, self.g)

@@ -144,13 +144,10 @@ def parse_int_list(text: str) -> tuple[int, ...]:
 
 def weight_to_partition(w: Weight) -> Partition:
     """Partition attached to a dominant weight (reversed coordinates)."""
-    mu = tuple(reversed(w))
-    for a, b in zip(mu, mu[1:]):
-        if a < b:
-            raise ValueError(f"weight {w} is not dominant")
-    if mu and mu[-1] < 0:
-        raise ValueError(f"weight {w} is not dominant")
-    return normalize_partition(mu)
+    try:
+        return normalize_partition(reversed(w))
+    except ValueError:
+        raise ValueError(f"weight {w} is not dominant") from None
 
 
 def simple_root(i: int, m: int) -> Weight:

@@ -1,6 +1,9 @@
+import io
+import shlex
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ from sympcrystal.cli import main
 from sympcrystal.crystal import SsotCrystal, crystal_graph, decompose
 from sympcrystal.oscillating import enumerate_ssot
 from sympcrystal.tableaux import (
+    enumerate_king,
     format_partition,
     normalize_partition,
     partitions_in_box,
@@ -400,6 +404,23 @@ def test_verify_crystal_applies_each_operator_once_per_vertex_and_index(
     capsys.readouterr()
 
 
+def test_verify_bijections_runs_psi_once_per_king_tableau(monkeypatch):
+    calls = Counter()
+    real = cli.psi
+
+    def counting(t, m, g):
+        calls[t] += 1
+        return real(t, m, g)
+
+    monkeypatch.setattr(cli, "psi", counting)
+    for m, g in [(2, 2), (3, 2)]:
+        calls.clear()
+        rows = cli.suite_bijections(m, g)
+        kings = [t for mu in partitions_in_box(m, g) for t in enumerate_king(mu, m)]
+        assert all(ok for _, _, ok, _ in rows)
+        assert calls.keys() == set(kings) and set(calls.values()) == {1}
+
+
 def test_verify_all_smallest(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--m", "1", "--g", "1")
     assert code == 0
@@ -501,6 +522,33 @@ def test_byte_determinism(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second and first
+
+
+def _readme_cli_examples():
+    """(command, expected stdout) for every ``$ sympcrystal`` example in the
+    README's shell block; an example ends at the first blank line."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        (lines[0][2:], lines[1:])
+        for lines in (chunk.splitlines() for chunk in block.strip().split("\n\n"))
+    ]
+
+
+@pytest.mark.parametrize("command,expected", _readme_cli_examples())
+def test_readme_shell_examples(capsys, monkeypatch, command, expected):
+    echo, _, command = command.rpartition("|")
+    if echo:
+        (piped,) = shlex.split(echo)[1:]
+        monkeypatch.setattr("sys.stdin", io.StringIO(piped + "\n"))
+    prog, *argv = shlex.split(command, comments=True)
+    assert prog == "sympcrystal"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if expected[0] == "...":  # elided output: the summary line is compared
+        assert out.splitlines()[-1:] == expected[1:]
+    else:
+        assert out.splitlines() == expected
 
 
 def test_module_entry_point():

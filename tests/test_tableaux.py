@@ -175,8 +175,10 @@ def test_partition_text_roundtrip():
 
 def test_weight_partition_roundtrip():
     assert weight_to_partition((0, 1, 3)) == (3, 1)
-    with pytest.raises(ValueError):
-        weight_to_partition((1, 0))
+    assert weight_to_partition((0, 0, 2)) == (2,)
+    for w in [(1, 0), (-1, 0), (1, 0, 2)]:
+        with pytest.raises(ValueError, match="not dominant"):
+            weight_to_partition(w)
 
 
 def test_simple_roots_and_pairings():
