@@ -7,19 +7,19 @@
   symmetric nonnegative matrix with even diagonal, by standardizing the
   tableau to a fixed-point-free involution and semistandardizing back.
 
-Both come with inverses and raise ValueError off their domains.
+Both come with inverses and raise ValueError off their domains.  The row
+insertion that ``phi`` unwinds and ``phi_inverse`` replays lives here, since no
+other production route uses it; :mod:`sympcrystal.rsk` holds column insertion.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 from .oscillating import SSOT, OscStrip
 from .rsk import (
     Matrix,
-    _pop_largest,
-    _reverse_row_bump,
-    _row_bump,
     is_admissible,
     matrix,
     row_sums,
@@ -103,6 +103,65 @@ def standardized_word(m: Matrix) -> tuple[int, ...]:
         seen[v] += 1
         out.append(beta[v] - seen[v] + 1)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# row insertion, which phi and phi_inverse walk
+
+
+def _row_bump(rows: list[list[int]], x: int) -> tuple[int, int]:
+    """Row-insert ``x`` (bump the leftmost strictly larger entry); 0-based box."""
+    r = 0
+    while True:
+        if r == len(rows):
+            rows.append([x])
+            return r, 0
+        row = rows[r]
+        pos = bisect_right(row, x)
+        if pos == len(row):
+            row.append(x)
+            return r, len(row) - 1
+        x, row[pos] = row[pos], x
+        r += 1
+
+
+def _reverse_row_bump(rows: list[list[int]], r: int) -> int:
+    """Undo a row insertion whose new box ended row ``r`` (0-based); return the letter.
+
+    The cell removed is the last box of that row, which must be a corner.
+    """
+    if r < 0 or r >= len(rows):
+        raise ValueError(f"no row {r + 1}")
+    if r + 1 < len(rows) and len(rows[r + 1]) >= len(rows[r]):
+        raise ValueError(f"row {r + 1} does not end at a corner")
+    x = rows[r].pop()
+    if not rows[r]:
+        rows.pop()
+    for rr in range(r - 1, -1, -1):
+        rowr = rows[rr]
+        pos = bisect_left(rowr, x) - 1
+        if pos < 0:
+            raise ValueError("reverse insertion fell off a row")
+        x, rowr[pos] = rowr[pos], x
+    return x
+
+
+def _pop_largest(rows: list[list[int]]) -> tuple[int, int, int]:
+    """Remove the rightmost copy of the largest entry of a tableau's rows, which
+    must sit at a corner; return (entry, row, column), 0-based."""
+    # rows end in their largest entries and columns strictly increase, so the
+    # top row ending in the largest entry holds its rightmost copy
+    r = 0
+    for i in range(1, len(rows)):
+        if rows[i][-1] > rows[r][-1]:
+            r = i
+    value, c = rows[r][-1], len(rows[r]) - 1
+    if r + 1 < len(rows) and len(rows[r + 1]) > c:
+        raise ValueError(f"rightmost {value} is not at a corner")
+    rows[r].pop()
+    if not rows[r]:
+        rows.pop()
+    return value, r, c
 
 
 # ---------------------------------------------------------------------------

@@ -183,9 +183,7 @@ def weyl_character(lam: Partition, m: int) -> LaurentCharacter:
     The reference route (m! * 2^m terms per determinant): only the tests and
     ``verify characters`` call it, to check the production routes.
     """
-    lam = normalize_partition(lam)
-    if len(lam) > m:
-        raise ValueError(f"{lam} has more than {m} rows")
+    lam = shape_in_rows(lam, m)
     padded = lam + (0,) * (m - len(lam))
     num = _odd_determinant(tuple(padded[i] + m - i for i in range(m)))
     den = _odd_determinant(tuple(m - i for i in range(m)))
@@ -194,9 +192,7 @@ def weyl_character(lam: Partition, m: int) -> LaurentCharacter:
 
 def weyl_dimension(lam: Partition, m: int) -> int:
     """Dimension by the product over positive roots, in exact rationals."""
-    lam = normalize_partition(lam)
-    if len(lam) > m:
-        raise ValueError(f"{lam} has more than {m} rows")
+    lam = shape_in_rows(lam, m)
     padded = lam + (0,) * (m - len(lam))
     a = [padded[i] + m - i for i in range(m)]  # shifted by the half-sum
     b = [m - i for i in range(m)]

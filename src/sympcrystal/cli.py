@@ -41,8 +41,6 @@ from .crystal import (
     MatrixCrystal,
     MemoCrystal,
     SsotCrystal,
-    _matrix_move,
-    _ssot_move,
     axiom_violations,
     crystal_graph,
     graph_to_adjacency,
@@ -111,8 +109,6 @@ def cmd_enumerate(args):
     if args.what == "king":
         items = [king_line(t) for t in enumerate_king(mu, args.m)]
     else:
-        if args.g is None:
-            raise UsageError("enumerate ssot needs --g")
         outside = rect_complement(mu, args.m, args.g)
         items = sorted(str(t) for t in enumerate_ssot(outside, args.m, args.g))
     return items + [f"count {len(items)}"], True
@@ -121,12 +117,8 @@ def cmd_enumerate(args):
 def cmd_map(args):
     text = read_input(args.input)
     if args.how == "psi":
-        if args.g is None:
-            raise UsageError("map psi needs --g")
         out = str(psi(parse_king_text(text), args.m, args.g))
     elif args.how == "psi-inv":
-        if args.g is None:
-            raise UsageError("map psi-inv needs --g")
         out = king_line(psi_inverse(ssot_from_text(text), args.g))
     elif args.how == "phi":
         out = format_matrix(phi(ssot_from_text(text)))
@@ -141,21 +133,21 @@ def _looks_like_matrix(text: str) -> bool:
 
 
 def cmd_crystal_apply(args):
-    if args.g is None:
-        raise UsageError("crystal apply needs --g")
     text = read_input(args.input)
-    k = ("raise", "lower").index(args.op)  # the side: 0 raises, 1 lowers
     if _looks_like_matrix(text):
-        out = _matrix_move(parse_matrix(text), args.index, args.g, k)
-        return (["none"] if out is None else format_matrix(out).splitlines()), True
-    t = ssot_from_text(text, inside=parse_partition(args.inside))
-    out = _ssot_move(t, args.index, args.g, k)
-    return [str(out) if out is not None else "none"], True
+        x = parse_matrix(text)
+        crystal, show = MatrixCrystal(len(x), args.g), format_matrix
+    else:
+        x = ssot_from_text(text, inside=parse_partition(args.inside))
+        # the matrix crystal refuses a matrix too wide for g in the same way
+        if x.num_cols > args.g:
+            raise ValueError(f"a peak shape needs more than {args.g} columns")
+        crystal, show = SsotCrystal(x.length, args.g), str
+    out = (crystal.e if args.op == "raise" else crystal.f)(x, args.index)
+    return ("none" if out is None else show(out)).splitlines(), True
 
 
 def cmd_crystal_graph(args):
-    if args.g is None:
-        raise UsageError("needs --g")
     outside = rect_complement(parse_partition(args.mu), args.m, args.g)
     seeds = enumerate_ssot(outside, args.m, args.g)
     graph = crystal_graph(SsotCrystal(args.m, args.g), seeds)
@@ -164,8 +156,6 @@ def cmd_crystal_graph(args):
 
 
 def cmd_crystal_decompose(args):
-    if args.g is None:
-        raise UsageError("needs --g")
     outside = rect_complement(parse_partition(args.mu), args.m, args.g)
     # one highest-weight chain per component: epsilon is zero at every index
     highest = enumerate_ssot(outside, args.m, args.g, eps_bound=(0,) * args.m)
@@ -217,13 +207,9 @@ def cmd_char(args):
 # verification suites
 
 
-def _check(rows, suite, name, ok, detail):
-    rows.append((suite, name, bool(ok), detail))
-
-
 def suite_bijections(m, g):
     rows = []
-    pairs = strips = 0
+    pairs = 0
     weight_ok = True
     by_outside = {}
     for t in enumerate_ssot(None, m, g):
@@ -238,23 +224,22 @@ def suite_bijections(m, g):
         for t, s in zip(kings, images):
             if psi_inverse(s, g) != t or king_weight(t, m) != s.crystal_weight(g):
                 weight_ok = False
-    _check(rows, "bijections", "king_transport_round_trip", weight_ok,
-           f"tableaux={pairs} m={m} g={g}")
+    rows.append(("bijections", "king_transport_round_trip", weight_ok,
+                 f"tableaux={pairs} m={m} g={g}"))
     chains = by_outside.get((), [])
     mats = enumerate_admissible(m, g)
     ok = len(chains) == len(mats)
     inv_ok = True
     for t in chains:
         mat = phi(t)
-        strips += 1
         if phi_inverse(mat) != t:
             inv_ok = False
         if c_index(mat) != 2 * t.num_cols or row_sums(mat) != t.weight():
             inv_ok = False
-    _check(rows, "bijections", "matrix_transport_round_trip", inv_ok,
-           f"tableaux={strips}")
-    _check(rows, "bijections", "matrix_count_matches", ok,
-           f"ssot={len(chains)} matrices={len(mats)}")
+    rows.append(("bijections", "matrix_transport_round_trip", inv_ok,
+                 f"tableaux={len(chains)}"))
+    rows.append(("bijections", "matrix_count_matches", ok,
+                 f"ssot={len(chains)} matrices={len(mats)}"))
     return rows
 
 
@@ -272,14 +257,14 @@ def suite_crystal(m, g):
     osc_cr, mat_cr = MemoCrystal(SsotCrystal(m, g)), MemoCrystal(MatrixCrystal(m, g))
     for name, cr, vertices in (("oscillating", osc_cr, corpus), ("matrix", mat_cr, mats)):
         v = axiom_violations(cr, vertices)
-        _check(rows, "crystal", f"axioms_{name}", not v,
-               v[0] if v else f"vertices={len(vertices)}")
+        rows.append(("crystal", f"axioms_{name}", not v,
+                     v[0] if v else f"vertices={len(vertices)}"))
     # side 0 raises, side 1 lowers; every comparison runs, none exits early
     osc_ops, mat_ops = (osc_cr.e, osc_cr.f), (mat_cr.e, mat_cr.f)
     surgery = (matrix_raise_surgery, matrix_lower_surgery)
     same = [mat_ops[k](mat, i) == surgery[k](mat, i)
             for mat in mats for i in range(1, m) for k in (0, 1)]
-    _check(rows, "crystal", "insertion_vs_surgery", all(same), f"checks={len(same)}")
+    rows.append(("crystal", "insertion_vs_surgery", all(same), f"checks={len(same)}"))
     equi_ok = True
     checked = 0
     for t in [t for t in corpus if t.outside == ()]:
@@ -292,11 +277,11 @@ def suite_crystal(m, g):
                     equi_ok = False
             if osc_cr.stats(t, i) != mat_cr.stats(mat, i):
                 equi_ok = False
-    _check(rows, "crystal", "transport_equivariance", equi_ok, f"checks={checked}")
+    rows.append(("crystal", "transport_equivariance", equi_ok, f"checks={checked}"))
     v = stembridge_violations(osc_cr, corpus)
     v += stembridge_violations(mat_cr, mats)
-    _check(rows, "crystal", "stembridge_battery", not v,
-           v[0] if v else f"vertices={len(corpus) + len(mats)}")
+    rows.append(("crystal", "stembridge_battery", not v,
+                 v[0] if v else f"vertices={len(corpus) + len(mats)}"))
     return rows
 
 
@@ -313,8 +298,8 @@ def suite_characters(m, max_size):
         n += 1
         if king_character(lam, m) != weyl_character(lam, m):
             ok = False
-    _check(rows, "characters", "tableau_sum_equals_determinant_ratio", ok,
-           f"shapes={n} m={m}")
+    rows.append(("characters", "tableau_sum_equals_determinant_ratio", ok,
+                 f"shapes={n} m={m}"))
     dp_ok = h_ok = True
     checked = 0
     # e_ell and h_ell do not depend on lam: one Schur evaluation each
@@ -331,8 +316,8 @@ def suite_characters(m, max_size):
                     dp_ok = False
                 if dec_h.get(nu, 0) != sundaram_h_count(lam, ell, nu):
                     h_ok = False
-    _check(rows, "characters", "dual_pieri_rule", dp_ok, f"checks={checked}")
-    _check(rows, "characters", "row_pieri_rule", h_ok, f"checks={checked}")
+    rows.append(("characters", "dual_pieri_rule", dp_ok, f"checks={checked}"))
+    rows.append(("characters", "row_pieri_rule", h_ok, f"checks={checked}"))
     rng = random.Random(0)
     pool = list(_parts_upto(min(max_size, 3), m))
     rec_ok = True
@@ -344,7 +329,7 @@ def suite_characters(m, max_size):
             rebuilt = rebuilt + c * weyl_character(nu, m)
         if rebuilt != f:
             rec_ok = False
-    _check(rows, "characters", "decomposition_reconstructs", rec_ok, "products=20")
+    rows.append(("characters", "decomposition_reconstructs", rec_ok, "products=20"))
     return rows
 
 
@@ -365,9 +350,9 @@ def suite_conjecture(m, max_size):
                 if not r.ok:
                     rows.append(("conjecture", "report_mode_difference", True,
                                  f"lambda={format_partition(lam)} mu={format_partition(mu)}"))
-    _check(rows, "conjecture", "product_formula_proved_range", not bad,
-           f"asserted={asserted} reported={reported}" if not bad
-           else f"first failure lambda={bad[0][0]} mu={bad[0][1]}")
+    rows.append(("conjecture", "product_formula_proved_range", not bad,
+                 f"asserted={asserted} reported={reported}" if not bad
+                 else f"first failure lambda={bad[0][0]} mu={bad[0][1]}"))
     return rows
 
 
@@ -424,21 +409,22 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run):
+    def common(p, run, needs_g=lambda args: False):
+        """The shared options; ``needs_g(args)`` says when ``--g`` is required."""
         p.add_argument("--m", type=_nonnegative_int, default=2, help="number of letter tracks")
         p.add_argument("--g", type=_nonnegative_int, default=None, help="column bound")
         p.add_argument("--output", help="write here instead of stdout")
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, needs_g=needs_g)
 
     p = sub.add_parser("enumerate", help="list King or oscillating tableaux")
     p.add_argument("what", choices=["king", "ssot"])
     p.add_argument("--mu", default="[]", help="shape, like [2,1]")
-    common(p, cmd_enumerate)
+    common(p, cmd_enumerate, lambda args: args.what == "ssot")
 
     p = sub.add_parser("map", help="transport an object between models")
     p.add_argument("how", choices=["psi", "psi-inv", "phi", "phi-inv"])
     p.add_argument("--input", help="path, or - for stdin")
-    common(p, cmd_map)
+    common(p, cmd_map, lambda args: args.how in ("psi", "psi-inv"))
 
     p = sub.add_parser("crystal", help="operators, graphs, decompositions")
     crystal_sub = p.add_subparsers(dest="action", required=True)
@@ -447,13 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--index", type=_nonnegative_int, required=True)
     pa.add_argument("--input", help="path, or - for stdin")
     pa.add_argument("--inside", default="[]", help="inner shape for skew chains")
-    common(pa, cmd_crystal_apply)
+    common(pa, cmd_crystal_apply, lambda args: True)
     for name in ("graph", "decompose"):
         pg = crystal_sub.add_parser(name)
         pg.add_argument("--mu", default="[]", help="shape, like [2,1]")
         if name == "graph":
             pg.add_argument("--format", choices=["dot", "adj"], default="dot")
-        common(pg, cmd_crystal_graph if name == "graph" else cmd_crystal_decompose)
+        common(pg, cmd_crystal_graph if name == "graph" else cmd_crystal_decompose,
+               lambda args: True)
 
     p = sub.add_parser("char", help="exact character computations")
     p.add_argument("what", choices=["chi", "schur", "decompose", "pieri"])
@@ -476,6 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.g is None and args.needs_g(args):
+            raise UsageError("this command needs --g, the column bound")
         lines, ok = args.run(args)
         text = "\n".join(lines) + ("\n" if lines else "")
         if not args.output:

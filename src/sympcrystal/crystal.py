@@ -3,7 +3,9 @@
 Index 0 is the long-root direction: it touches only the first strip of an
 oscillating tableau (equivalently the top-left matrix entry).  Indices
 1..m-1 form a type-A chain and act through the bracket (signature) rule on
-ascending lists of signed rows at the junction of two consecutive strips.
+ascending lists of signed rows at the junction of two consecutive strips;
+those lists and the statistics read off them come from
+:mod:`sympcrystal.oscillating`.
 Each model's raise and lower are the two sides of one body (side 0 raises,
 side 1 lowers); the public names are one-line calls to their side.
 """
@@ -14,7 +16,15 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .oscillating import SSOT, OscStrip
+from .oscillating import (
+    SSOT,
+    OscStrip,
+    first_strip_counts,
+    pair_multisets,
+    shift_overlap,
+    ssot_stats,
+    strip_pair_multisets,
+)
 from .rsk import (
     Matrix,
     c_index,
@@ -33,43 +43,6 @@ from .tableaux import (
     simple_root,
 )
 from .bijections import psi, psi_inverse
-
-# ---------------------------------------------------------------------------
-# multisets as ascending lists of ints
-
-
-def shift_overlap(a: list[int], b: list[int], delta: int) -> list[int]:
-    """(a minus b) together with the overlap shifted by ``delta``, ascending."""
-    out, j = [], 0
-    for x in a:
-        while j < len(b) and b[j] < x:
-            j += 1
-        if j < len(b) and b[j] == x:
-            x, j = x + delta, j + 1
-        out.append(x)
-    return sorted(out)
-
-
-def pair_multisets(c: list[int], d: list[int]) -> tuple[list[int], list[int]]:
-    """Bracket-pair each q in d with some p in c, p < q; return the leftovers.
-
-    Both multisets come as ascending lists.  This is matching in the word
-    that lists all elements by increasing value with d-elements first at
-    ties: scanning q upward, each q closes the largest still-open p below
-    it.  (Scanning downward instead picks a matching of the same size but
-    the wrong residue.)  Returns (unpaired c, unpaired d), each ascending;
-    every leftover on the c side is >= every leftover on the d side.
-    """
-    avail = list(c)
-    left_d: list[int] = []
-    for q in d:
-        k = bisect_left(avail, q) - 1
-        if k >= 0:
-            avail.pop(k)
-        else:
-            left_d.append(q)
-    return avail, left_d
-
 
 # ---------------------------------------------------------------------------
 # type-A operators on semistandard tableaux
@@ -127,24 +100,6 @@ def ssyt_stats(t: Tableau, i: int) -> tuple[int, int]:
 # operators on oscillating tableaux
 
 
-def strip_pair_multisets(t: SSOT, i: int) -> tuple[list[int], list[int]]:
-    """Signed rows compared at junction i (1-based strips i, i+1), ascending.
-
-    Removal rows of strip i and addition rows of strip i+1 overlap in the
-    junction shape, so each side is shifted up past the other before being
-    negated/merged.  Sizes come out as the two strip sizes.  A strip word
-    lists its additions descending, then its removals negated ascending.
-    """
-    lo, hi = t.strips[i - 1].word, t.strips[i].word
-    removes_lo = [-s for s in lo if s < 0]
-    adds_hi = [s for s in reversed(hi) if s > 0]
-    bar_removes = shift_overlap(removes_lo, adds_hi, 1)
-    bar_adds = shift_overlap(adds_hi, removes_lo, 1)
-    c = [-r for r in reversed(bar_removes)] + [s for s in reversed(lo) if s > 0]
-    d = [s for s in reversed(hi) if s < 0] + bar_adds
-    return c, d
-
-
 def _rebuild_junction(t: SSOT, i: int, c: list[int], d: list[int]) -> SSOT:
     """Strips i, i+1 recovered from modified junction lists."""
     k, n = bisect_left(c, 0), bisect_left(d, 0)
@@ -159,33 +114,16 @@ def _rebuild_junction(t: SSOT, i: int, c: list[int], d: list[int]) -> SSOT:
     return t.replace(i - 1, lo, hi)
 
 
-def _first_strip_counts(t: SSOT) -> tuple[int, int]:
-    if t.inside != ():
-        raise ValueError("index 0 acts only on tableaux that start empty")
-    if not t.strips:
-        raise ValueError("no strips")
-    # a strip from () adds and removes boxes in row 1 only: its letters are +-1
-    word = t.strips[0].word
-    a = word.count(1)
-    return a, len(word) - a
-
-
-def _check_junction_index(t: SSOT, i: int) -> None:
-    if not 1 <= i <= len(t.strips) - 1:
-        raise ValueError(f"index {i} out of range for {len(t.strips)} strips")
-
-
 def _ssot_move(t: SSOT, i: int, g: int, k: int) -> SSOT | None:
     """:func:`ssot_raise` on side 0, :func:`ssot_lower` on side 1.  At index
     0 a side stops once its statistic is 0: eps counts the removals of the
     first strip, phi is g minus its additions."""
     if i == 0:
-        a, b = _first_strip_counts(t)
+        a, b = first_strip_counts(t)
         if (b, g - a)[k] <= 0:
             return None
         s = (-1, 1)[k]
         return t.replace(0, OscStrip((), (1,) * (a + s) + (-1,) * (b + s)))
-    _check_junction_index(t, i)
     lists = strip_pair_multisets(t, i)
     unpaired = pair_multisets(*lists)[1 - k]
     if not unpaired:
@@ -207,16 +145,6 @@ def ssot_lower(t: SSOT, i: int, g: int) -> SSOT | None:
     (None once it holds g additions), index i >= 1 moves the smallest
     unpaired junction element rightward."""
     return _ssot_move(t, i, g, 1)
-
-
-def ssot_stats(t: SSOT, i: int, g: int) -> tuple[int, int]:
-    """(epsilon, phi): how often raise/lower apply before hitting None."""
-    if i == 0:
-        a, b = _first_strip_counts(t)
-        return b, g - a
-    _check_junction_index(t, i)
-    left_c, left_d = pair_multisets(*strip_pair_multisets(t, i))
-    return len(left_d), len(left_c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Independent reference routes; only the tests and ``verify`` import this module.
 
-* :func:`rsk_column_transpose`, ``Q(M) = P(M transposed)``: compared with
-  ``rsk.rsk_column`` and ``rsk.c_index`` on every matrix up to 4 x 4 of entry
-  sum at most 4 (``test_rsk.py::test_recorded_matches_transpose_definition``).
+* :func:`rsk_column_transpose`, ``Q(M) = P(M transposed)`` by
+  :func:`column_insert_word`: compared with ``rsk.rsk_column`` and
+  ``rsk.c_index`` on every matrix up to 4 x 4 of entry sum at most 4
+  (``test_rsk.py::test_recorded_matches_transpose_definition``).
 * The row route of the rotation identity, :func:`rsk_row` on
   :func:`complemented_row_pairs` against ``rsk.rsk_column`` of
   :func:`rotate180`, with :func:`row_insert` and :func:`row_insert_word`
@@ -35,17 +36,25 @@ from bisect import bisect_right
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-from .crystal import pair_multisets
-from .oscillating import SSOT, OscStrip, _box_step
+from .bijections import _row_bump
+from .oscillating import SSOT, OscStrip, _box_step, pair_multisets
 from .rsk import (
     Matrix,
-    _row_bump,
-    column_insert_word,
+    _column_bump,
+    _tableau_from_cols,
     matrix,
     transpose_matrix,
     two_line_array,
 )
 from .tableaux import Partition, Tableau
+
+
+def column_insert_word(word: Sequence[int]) -> Tableau:
+    """Column-insert a word letter by letter, starting from the empty tableau."""
+    cols: list[list[int]] = []
+    for x in word:
+        _column_bump(cols, x)
+    return _tableau_from_cols(cols)
 
 
 def rsk_column_transpose(m: Matrix) -> tuple[Tableau, Tableau]:

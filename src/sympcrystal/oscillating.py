@@ -15,11 +15,16 @@ decreasing word replays through partitions only when both of its pieces are
 horizontal strips, so no separate strip test is needed.
 
 A semistandard oscillating tableau (SSOT) is a chain of these strips, each
-starting where the previous one ended.
+starting where the previous one ended.  Its crystal statistics are read off
+the strips here (:func:`ssot_stats`): index 0 counts the letters of the
+first strip, and index i >= 1 brackets the signed rows met at the junction
+of strips i and i+1.  The operators that move those rows live in
+:mod:`sympcrystal.crystal`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -175,6 +180,85 @@ def ssot_from_text(text: str, inside: Partition = ()) -> SSOT:
 
 
 # ---------------------------------------------------------------------------
+# crystal statistics, read off the strips
+
+
+def shift_overlap(a: list[int], b: list[int], delta: int) -> list[int]:
+    """(a minus b) together with the overlap shifted by ``delta``, ascending."""
+    out, j = [], 0
+    for x in a:
+        while j < len(b) and b[j] < x:
+            j += 1
+        if j < len(b) and b[j] == x:
+            x, j = x + delta, j + 1
+        out.append(x)
+    return sorted(out)
+
+
+def pair_multisets(c: list[int], d: list[int]) -> tuple[list[int], list[int]]:
+    """Bracket-pair each q in d with some p in c, p < q; return the leftovers.
+
+    Both multisets come as ascending lists.  This is matching in the word
+    that lists all elements by increasing value with d-elements first at
+    ties: scanning q upward, each q closes the largest still-open p below
+    it.  (Scanning downward instead picks a matching of the same size but
+    the wrong residue.)  Returns (unpaired c, unpaired d), each ascending;
+    every leftover on the c side is >= every leftover on the d side.
+    """
+    avail = list(c)
+    left_d: list[int] = []
+    for q in d:
+        k = bisect_left(avail, q) - 1
+        if k >= 0:
+            avail.pop(k)
+        else:
+            left_d.append(q)
+    return avail, left_d
+
+
+def strip_pair_multisets(t: SSOT, i: int) -> tuple[list[int], list[int]]:
+    """Signed rows compared at junction i (1-based strips i, i+1), ascending.
+
+    Removal rows of strip i and addition rows of strip i+1 overlap in the
+    junction shape, so each side is shifted up past the other before being
+    negated/merged.  Sizes come out as the two strip sizes.  A strip word
+    lists its additions descending, then its removals negated ascending.
+    ValueError unless 1 <= i < t.length.
+    """
+    if not 1 <= i <= len(t.strips) - 1:
+        raise ValueError(f"index {i} out of range for {len(t.strips)} strips")
+    lo, hi = t.strips[i - 1].word, t.strips[i].word
+    removes_lo = [-s for s in lo if s < 0]
+    adds_hi = [s for s in reversed(hi) if s > 0]
+    bar_removes = shift_overlap(removes_lo, adds_hi, 1)
+    bar_adds = shift_overlap(adds_hi, removes_lo, 1)
+    c = [-r for r in reversed(bar_removes)] + [s for s in reversed(lo) if s > 0]
+    d = [s for s in reversed(hi) if s < 0] + bar_adds
+    return c, d
+
+
+def first_strip_counts(t: SSOT) -> tuple[int, int]:
+    """(additions, removals) of the first strip, which index 0 acts on."""
+    if t.inside != ():
+        raise ValueError("index 0 acts only on tableaux that start empty")
+    if not t.strips:
+        raise ValueError("no strips")
+    # a strip from () adds and removes boxes in row 1 only: its letters are +-1
+    word = t.strips[0].word
+    a = word.count(1)
+    return a, len(word) - a
+
+
+def ssot_stats(t: SSOT, i: int, g: int) -> tuple[int, int]:
+    """(epsilon, phi): how often raise/lower apply before hitting None."""
+    if i == 0:
+        a, b = first_strip_counts(t)
+        return b, g - a
+    left_c, left_d = pair_multisets(*strip_pair_multisets(t, i))
+    return len(left_d), len(left_c)
+
+
+# ---------------------------------------------------------------------------
 # enumeration
 
 
@@ -225,7 +309,7 @@ def enumerate_ssot(
 
     ``eps_bound[i]``, unless None, caps epsilon_i (all zeros: highest-weight
     chains only).  epsilon_0 reads strip 1 alone and epsilon_i strips i and
-    i+1, so ``crystal.ssot_stats`` tests each bound as its last strip is
+    i+1, so :func:`ssot_stats` tests each bound as its last strip is
     appended.  A bound at index 0 needs ``inside == ()``.
     """
     if m < 0 or g < 0:
@@ -238,7 +322,6 @@ def enumerate_ssot(
     if memo is None:
         memo = {}
     if eps_bound is not None:
-        from .crystal import ssot_stats  # crystal imports this module
         if len(eps_bound) != m:
             raise ValueError("eps_bound length must equal the number of strips")
         if m and eps_bound[0] is not None and inside:

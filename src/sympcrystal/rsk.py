@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import zip_longest
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .tableaux import Tableau
 
@@ -170,14 +170,6 @@ def _column_bump(cols: list[list[int]], x: int) -> tuple[int, int]:
         c += 1
 
 
-def column_insert_word(word: Sequence[int]) -> Tableau:
-    """Column-insert a word letter by letter, starting from the empty tableau."""
-    cols: list[list[int]] = []
-    for x in word:
-        _column_bump(cols, x)
-    return _tableau_from_cols(cols)
-
-
 def rsk_column(m: Matrix) -> tuple[Tableau, Tableau]:
     """The pair ``(P, Q)``: insert the bottom line, recording where each new box lands.
 
@@ -213,24 +205,6 @@ def _reverse_column_extract(cols: list[list[int]], row: int, col: int) -> int:
     return x
 
 
-def _pop_largest(rows: list[list[int]]) -> tuple[int, int, int]:
-    """Remove the rightmost copy of the largest entry of a tableau's rows, which
-    must sit at a corner; return (entry, row, column), 0-based."""
-    # rows end in their largest entries and columns strictly increase, so the
-    # top row ending in the largest entry holds its rightmost copy
-    r = 0
-    for i in range(1, len(rows)):
-        if rows[i][-1] > rows[r][-1]:
-            r = i
-    value, c = rows[r][-1], len(rows[r]) - 1
-    if r + 1 < len(rows) and len(rows[r + 1]) > c:
-        raise ValueError(f"rightmost {value} is not at a corner")
-    rows[r].pop()
-    if not rows[r]:
-        rows.pop()
-    return value, r, c
-
-
 def rsk_column_inverse(
     p: Tableau, q: Tableau, nrows: int | None = None, ncols: int | None = None
 ) -> Matrix:
@@ -249,47 +223,6 @@ def rsk_column_inverse(
     )
     pairs = [(v, _reverse_column_extract(cols, r, c)) for v, c, r in order]
     return matrix_from_pairs(pairs, nrows, ncols)
-
-
-# ---------------------------------------------------------------------------
-# row insertion (used by the bijection phi)
-
-
-def _row_bump(rows: list[list[int]], x: int) -> tuple[int, int]:
-    """Row-insert ``x`` (bump the leftmost strictly larger entry); 0-based box."""
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append([x])
-            return r, 0
-        row = rows[r]
-        pos = bisect_right(row, x)
-        if pos == len(row):
-            row.append(x)
-            return r, len(row) - 1
-        x, row[pos] = row[pos], x
-        r += 1
-
-
-def _reverse_row_bump(rows: list[list[int]], r: int) -> int:
-    """Undo a row insertion whose new box ended row ``r`` (0-based); return the letter.
-
-    The cell removed is the last box of that row, which must be a corner.
-    """
-    if r < 0 or r >= len(rows):
-        raise ValueError(f"no row {r + 1}")
-    if r + 1 < len(rows) and len(rows[r + 1]) >= len(rows[r]):
-        raise ValueError(f"row {r + 1} does not end at a corner")
-    x = rows[r].pop()
-    if not rows[r]:
-        rows.pop()
-    for rr in range(r - 1, -1, -1):
-        rowr = rows[rr]
-        pos = bisect_left(rowr, x) - 1
-        if pos < 0:
-            raise ValueError("reverse insertion fell off a row")
-        x, rowr[pos] = rowr[pos], x
-    return x
 
 
 # ---------------------------------------------------------------------------

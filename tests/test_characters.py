@@ -244,6 +244,12 @@ def test_brauer_klimyk_anchors():
     assert brauer_klimyk((1,), -LaurentCharacter.one(1), 1) == Counter({(1,): -1})
 
 
+@pytest.mark.parametrize("fn", [weyl_character, weyl_dimension])
+def test_weyl_routes_share_the_row_check(fn):
+    with pytest.raises(ValueError, match="^shape \\(1, 1\\) has more than 1 rows$"):
+        fn((1, 1), 1)
+
+
 def test_brauer_klimyk_rejects_bad_input():
     with pytest.raises(ValueError, match="shape \\(1, 1\\) has more than 1 rows"):
         brauer_klimyk((1, 1), LaurentCharacter.one(1), 1)

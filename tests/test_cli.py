@@ -145,6 +145,20 @@ def test_apply_rejects_non_admissible_matrix(capsys, monkeypatch):
     assert "symmetric with even diagonal" in err
 
 
+def test_apply_refuses_a_chain_wider_than_g(capsys, monkeypatch):
+    # the running example peaks at (3, 1): three columns
+    code, out, err = run_with_stdin(
+        capsys, monkeypatch, RUNNING_SSOT,
+        "crystal", "apply", "--op", "lower", "--index", "0", "--g", "2",
+    )
+    assert (code, out, err) == (3, "", "invalid input: a peak shape needs more than 2 columns\n")
+    code, out, _ = run_with_stdin(
+        capsys, monkeypatch, RUNNING_SSOT,
+        "crystal", "apply", "--op", "lower", "--index", "0", "--g", "3",
+    )
+    assert (code, out) == (0, "(1 1 1b 1b)(1 1 1b)(2 1 2b)(2 1)\n")
+
+
 def test_apply_skew_inside_flag(capsys, monkeypatch):
     code, out, _ = run_with_stdin(
         capsys, monkeypatch, "(1)(1b)",
@@ -473,6 +487,24 @@ def test_missing_flag_is_usage_error(capsys, monkeypatch):
         capsys, monkeypatch, WORKED_SSOT, "map", "psi", "--m", "4"
     )
     assert code == 2 and "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "ssot", "--mu", "[1]"],
+        ["map", "psi", "--input", WORKED_KING],
+        ["map", "psi-inv", "--input", WORKED_SSOT],
+        ["crystal", "apply", "--op", "raise", "--index", "0", "--input", "()"],
+        ["crystal", "graph", "--mu", "[1]"],
+        ["crystal", "decompose", "--mu", "[1]"],
+    ],
+)
+def test_every_command_that_needs_g_refuses_its_absence(capsys, argv):
+    # the check runs before any input is read: --input here is no real path
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "usage error: this command needs --g, the column bound\n"
 
 
 def test_unreadable_input_is_usage_error(capsys, tmp_path):

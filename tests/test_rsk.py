@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympcrystal.bijections import _pop_largest, _reverse_row_bump
 from sympcrystal.oracles import (
+    column_insert_word,
     complemented_row_pairs,
     longest_weakly_decreasing,
     matrices_with_sum,
@@ -13,11 +15,8 @@ from sympcrystal.oracles import (
     rsk_row,
 )
 from sympcrystal.rsk import (
-    _pop_largest,
     _reverse_column_extract,
-    _reverse_row_bump,
     c_index,
-    column_insert_word,
     enumerate_admissible,
     format_matrix,
     is_admissible,
