@@ -49,13 +49,10 @@ def psi(t: KingTableau, m: int, g: int) -> SSOT:
         raise ValueError(f"letters exceed {m}")
     if t.shape and (len(t.shape) > m or t.shape[0] > g):
         raise ValueError(f"shape {t.shape} not inside a {m}x{g} rectangle")
-    strips = []
-    for i in range(1, m + 1):
-        inside = rect_complement(t.subshape(2 * (i - 1)), i - 1, g)
-        star = rect_complement(t.subshape(2 * i - 1), i, g)
-        outside = rect_complement(t.subshape(2 * i), i, g)
-        strips.append(OscStrip.from_partitions(inside, star, outside))
-    return SSOT(tuple(strips))
+    # rung r complements the letters of rank <= r in the ceil(r/2) x g box;
+    # strip i + 1 climbs rungs 2i to 2i + 2, and its first rung ends strip i
+    ladder = [rect_complement(t.subshape(r), (r + 1) // 2, g) for r in range(2 * m + 1)]
+    return SSOT(tuple(OscStrip.from_partitions(*ladder[2 * i:2 * i + 3]) for i in range(m)))
 
 
 def psi_inverse(s: SSOT, g: int) -> KingTableau:

@@ -39,7 +39,7 @@ from .characters import (
 )
 from .crystal import (
     MatrixCrystal,
-    MemoCrystal,
+    OperatorTable,
     SsotCrystal,
     axiom_violations,
     crystal_graph,
@@ -252,17 +252,16 @@ def suite_crystal(m, g):
     # most g wide never leave it
     corpus = enumerate_ssot(None, m, g)
     mats = enumerate_admissible(m, g)
-    # one operator memo per model, shared by every check below and dropped
+    # one operator table per model, shared by every check below and dropped
     # on return
-    osc_cr, mat_cr = MemoCrystal(SsotCrystal(m, g)), MemoCrystal(MatrixCrystal(m, g))
-    for name, cr, vertices in (("oscillating", osc_cr, corpus), ("matrix", mat_cr, mats)):
-        v = axiom_violations(cr, vertices)
+    osc_tab, mat_tab = OperatorTable(SsotCrystal(m, g)), OperatorTable(MatrixCrystal(m, g))
+    for name, table, vertices in (("oscillating", osc_tab, corpus), ("matrix", mat_tab, mats)):
+        v = axiom_violations(table, vertices)
         rows.append(("crystal", f"axioms_{name}", not v,
                      v[0] if v else f"vertices={len(vertices)}"))
     # side 0 raises, side 1 lowers; every comparison runs, none exits early
-    osc_ops, mat_ops = (osc_cr.e, osc_cr.f), (mat_cr.e, mat_cr.f)
     surgery = (matrix_raise_surgery, matrix_lower_surgery)
-    same = [mat_ops[k](mat, i) == surgery[k](mat, i)
+    same = [mat_tab.image(k, mat, i) == surgery[k](mat, i)
             for mat in mats for i in range(1, m) for k in (0, 1)]
     rows.append(("crystal", "insertion_vs_surgery", all(same), f"checks={len(same)}"))
     equi_ok = True
@@ -272,14 +271,14 @@ def suite_crystal(m, g):
         for i in range(m):
             checked += 1
             for k in (0, 1):
-                y = osc_ops[k](t, i)
-                if (None if y is None else phi(y)) != mat_ops[k](mat, i):
+                y = osc_tab.image(k, t, i)
+                if (None if y is None else phi(y)) != mat_tab.image(k, mat, i):
                     equi_ok = False
-            if osc_cr.stats(t, i) != mat_cr.stats(mat, i):
+            if osc_tab.stats(osc_tab.id(t), i) != mat_tab.stats(mat_tab.id(mat), i):
                 equi_ok = False
     rows.append(("crystal", "transport_equivariance", equi_ok, f"checks={checked}"))
-    v = stembridge_violations(osc_cr, corpus)
-    v += stembridge_violations(mat_cr, mats)
+    v = stembridge_violations(osc_tab, corpus)
+    v += stembridge_violations(mat_tab, mats)
     rows.append(("crystal", "stembridge_battery", not v,
                  v[0] if v else f"vertices={len(corpus) + len(mats)}"))
     return rows

@@ -280,54 +280,57 @@ class KingCrystal(_Adapter):
         return king_weight(x, self.m)
 
 
-_MISSING = object()
+class OperatorTable:
+    """Every operator result of ``crystal`` over one numbered vertex set.
 
-
-class MemoCrystal:
-    """A crystal that applies each of ``e``, ``f`` and ``stats`` at most once
-    per (vertex, index).
-
-    Each operator keeps its own dict from ``(x, i)`` to exactly what the base
-    returned for that call: no value is inferred from another (``f(e(x, i),
-    i)`` is still asked of the base), and a call that raises stores nothing.
-    Every other attribute (``m``, ``g``, ``weight``) is the base's.  A memo
-    lives as long as the checks that share it; nothing is cached at module
-    level.
+    ``id(x)`` numbers each distinct object once, with one hash, into
+    ``objects``; an output is numbered when it first appears.  ``op(k, v, i)``
+    is side k of vertex v at an index i of the crystal (0 raises, 1 lowers)
+    as an id or None.  It and ``stats(v, i)`` keep what the base returned for
+    that call: nothing is inferred (``f(e(x, i), i)`` is still asked of the
+    base), and a call that raises stores nothing.  ``weight(v)`` is computed
+    once per vertex.
     """
 
-    def __init__(self, base):
-        self.base = base
-        self.indices = base.indices
-        self._e: dict = {}
-        self._f: dict = {}
-        self._stats: dict = {}
+    def __init__(self, crystal, vertices=()):
+        self.crystal, self.objects, self._ids = crystal, [], {}
+        # e, f, stats by index, and weights: a slot per vertex, -1 until asked
+        self._rows, self._weights = [{i: [] for i in crystal.indices} for _ in range(3)], []
+        for x in vertices:
+            self.id(x)
 
-    def __getattr__(self, name):
-        return getattr(self.base, name)
+    def id(self, x) -> int:
+        v = self._ids.setdefault(x, len(self.objects))
+        if v == len(self.objects):
+            self.objects.append(x)
+            self._weights.append(-1)
+            for rows in self._rows:
+                for row in rows.values():
+                    row.append(-1)
+        return v
 
-    def e(self, x, i):
-        out = self._e.get((x, i), _MISSING)
-        if out is _MISSING:
-            out = self._e[x, i] = self.base.e(x, i)
-        return out
+    def op(self, k: int, v: int, i: int) -> int | None:
+        row = self._rows[k][i]
+        if row[v] == -1:
+            out = (self.crystal.e, self.crystal.f)[k](self.objects[v], i)
+            row[v] = None if out is None else self.id(out)
+        return row[v]
 
-    def f(self, x, i):
-        out = self._f.get((x, i), _MISSING)
-        if out is _MISSING:
-            out = self._f[x, i] = self.base.f(x, i)
-        return out
+    def stats(self, v: int, i: int) -> tuple[int, int]:
+        row = self._rows[2][i]
+        if row[v] == -1:
+            row[v] = self.crystal.stats(self.objects[v], i)
+        return row[v]
 
-    def stats(self, x, i):
-        out = self._stats.get((x, i), _MISSING)
-        if out is _MISSING:
-            out = self._stats[x, i] = self.base.stats(x, i)
-        return out
+    def weight(self, v: int) -> Weight:
+        if self._weights[v] == -1:
+            self._weights[v] = self.crystal.weight(self.objects[v])
+        return self._weights[v]
 
-
-def memoised(crystal) -> MemoCrystal:
-    """``crystal`` itself when it is already a :class:`MemoCrystal`, else a
-    fresh memo over it."""
-    return crystal if isinstance(crystal, MemoCrystal) else MemoCrystal(crystal)
+    def image(self, k: int, x, i: int):
+        """Side k of the object x at index i, as an object or None."""
+        y = self.op(k, self.id(x), i)
+        return None if y is None else self.objects[y]
 
 
 # ---------------------------------------------------------------------------
@@ -376,33 +379,32 @@ def crystal_graph(crystal, vertices) -> CrystalGraph:
     """The lowering edges among ``vertices``, which must be closed under
     ``e`` and ``f``.
 
-    Vertices are deduplicated and numbered in ``str`` order, each rendered
-    once; the graph keeps those strings as its labels.  ``f`` runs once per
-    (vertex, index); its target must be a vertex, and every edge x -> y must
-    invert, ``e(y, i) == x``, or ``ValueError`` is raised.  Closure under
-    ``e`` is not checked.  Edges come out ordered by (source, index), one per
-    lowering that applies.
+    Vertices are deduplicated, rendered once each and numbered through an
+    :class:`OperatorTable` in ``str`` order; the graph keeps those strings
+    as its labels.  ``f`` runs once per (vertex, index) through the table.
+    Its target must be a vertex, and ``e`` of it, run once per edge, must
+    equal the source (by ``==``), or ``ValueError`` is raised.  Closure
+    under ``e`` is not checked.  Edges come out ordered by (source, index).
     """
-    text = {x: str(x) for x in dict.fromkeys(vertices)}
-    vertices = tuple(sorted(text, key=text.__getitem__))
-    order = {x: k for k, x in enumerate(vertices)}
+    labelled = sorted((str(x), k, x) for k, x in enumerate(dict.fromkeys(vertices)))
+    table = OperatorTable(crystal, [x for _, _, x in labelled])
+    vertices = tuple(table.objects)
     edges: list[tuple[int, int, int]] = []
     for kx, x in enumerate(vertices):
         for i in crystal.indices:
-            y = crystal.f(x, i)
-            if y is None:
-                continue
-            ky = order.get(y)
+            ky = table.op(1, kx, i)
             if ky is None:
+                continue
+            if ky >= len(vertices):
                 raise ValueError(f"lowering at {i} leaves the vertex set: {x}")
-            if crystal.e(y, i) != x:
+            if crystal.e(vertices[ky], i) != x:
                 raise ValueError(f"lowering at {i} does not invert: {x}")
             edges.append((kx, i, ky))
     return CrystalGraph(
         vertices=vertices,
         edges=tuple(edges),
-        weights=tuple(crystal.weight(v) for v in vertices),
-        labels=tuple(map(text.__getitem__, vertices)),
+        weights=tuple(map(crystal.weight, vertices)),
+        labels=tuple(text for text, _, _ in labelled),
     )
 
 
@@ -439,44 +441,46 @@ def graph_to_dot(graph: CrystalGraph) -> str:
 _VERBS, _STATS = ("raise", "lower"), ("eps", "phi")
 
 
-def string_length(op, x, i: int, stat: int) -> int:
-    """How often ``op(., i)`` applies from x before returning None, counted
-    up to ``stat + 1``: a longer string, or a cycle, is not followed further."""
-    k = 0
-    while k <= stat and (x := op(x, i)) is not None:
-        k += 1
-    return k
+def string_length(table: OperatorTable, k: int, v: int, i: int, stat: int) -> int:
+    """How often side k of ``table`` applies at index i from vertex v before
+    returning None, counted up to ``stat + 1``: a longer string, or a cycle,
+    is not followed further."""
+    n = 0
+    while n <= stat and (v := table.op(k, v, i)) is not None:
+        n += 1
+    return n
 
 
 def axiom_violations(crystal, vertices) -> list[str]:
     """Mutual inversion, weight shifts, the phi - eps pairing, and the
     agreement of closed-form statistics with iterated counts.
 
-    The operators are read through :func:`memoised`, so the strings from a
-    vertex and the checks at its neighbours share one application per
-    (vertex, index).
+    ``crystal`` is an :class:`OperatorTable` or a crystal to build a fresh
+    one over, so the strings from a vertex and the checks at its
+    neighbours share one application per (vertex, index), and one weight
+    per vertex.
     """
-    crystal = memoised(crystal)
-    ops = (crystal.e, crystal.f)
+    table = crystal if isinstance(crystal, OperatorTable) else OperatorTable(crystal)
+    op, m = table.op, table.crystal.m
     bad: list[str] = []
-    m = crystal.m
     for x in vertices:
-        wx = crystal.weight(x)
-        for i in crystal.indices:
-            stats = crystal.stats(x, i)
+        v = table.id(x)
+        wx = table.weight(v)
+        for i in table.crystal.indices:
+            stats = table.stats(v, i)
             alpha = simple_root(i, m)
             if stats[1] - stats[0] != coroot_pairing(wx, i):
                 bad.append(f"phi-eps mismatch at index {i}: {x}")
             for k in (0, 1):
-                if stats[k] != string_length(ops[k], x, i, stats[k]):
+                if stats[k] != string_length(table, k, v, i, stats[k]):
                     bad.append(f"{_STATS[k]} is not the iterated count at index {i}: {x}")
             for k in (0, 1):
                 verb, sign = _VERBS[k], 1 - 2 * k
-                y = ops[k](x, i)
+                y = op(k, v, i)
                 if y is not None:
-                    if ops[1 - k](y, i) != x:
+                    if op(1 - k, y, i) != v:
                         bad.append(f"{verb} at {i} does not invert: {x}")
-                    if crystal.weight(y) != tuple(a + sign * b for a, b in zip(wx, alpha)):
+                    if table.weight(y) != tuple(a + sign * b for a, b in zip(wx, alpha)):
                         bad.append(f"{verb} at {i} has the wrong weight shift: {x}")
                 if (y is not None) != (stats[k] > 0):
                     bad.append(f"{verb} at {i} disagrees with {_STATS[k]}: {x}")
@@ -487,70 +491,70 @@ def stembridge_violations(crystal, vertices) -> list[str]:
     """The local type-A axioms on every index >= 1 of ``crystal``: the
     dichotomy for neighbouring indices, the commutation rules, and their
     lowering-side duals; distant indices must commute and leave each
-    other's statistics alone.  The operators are read through
-    :func:`memoised`, as in :func:`axiom_violations`."""
-    crystal = memoised(crystal)
-    ops = (crystal.e, crystal.f)
-    indices = [i for i in crystal.indices if i >= 1]
+    other's statistics alone.  ``crystal`` is a table or a crystal, as in
+    :func:`axiom_violations`."""
+    table = crystal if isinstance(crystal, OperatorTable) else OperatorTable(crystal)
+    indices = [i for i in table.crystal.indices if i >= 1]
     bad: list[str] = []
     if len(indices) < 2:
         return bad  # no pair of indices to check
     for x in vertices:
-        stats = {i: crystal.stats(x, i) for i in indices}
+        v = table.id(x)
+        stats = {i: table.stats(v, i) for i in indices}
         for i in indices:
             for j in indices:
                 if i != j:
                     check = _check_distant if abs(i - j) >= 2 else _check_adjacent
                     for k in (0, 1):
-                        bad.extend(check(crystal, ops[k], x, i, j, stats, k))
+                        bad.extend(check(table, k, x, v, i, j, stats))
     return bad
 
 
-def _check_distant(crystal, op, x, i: int, j: int, stats: dict, k: int) -> list[str]:
-    """On side k, whose operator is ``op``, distant indices i, j commute and
-    i leaves x's j statistics alone."""
-    verb = _VERBS[k]
-    y = op(x, i)
+def _check_distant(table, k: int, x, v: int, i: int, j: int, stats: dict) -> list[str]:
+    """On side k, distant indices i, j commute at x, vertex v of ``table``,
+    and i leaves x's j statistics alone."""
+    verb, op = _VERBS[k], table.op
+    y = op(k, v, i)
     if y is None:
         return []
     bad = []
-    if crystal.stats(y, j) != stats[j]:
+    if table.stats(y, j) != stats[j]:
         bad.append(f"distant {verb} {i} moved the {j} statistics: {x}")
-    z = op(x, j)
-    if z is not None and op(y, j) != op(z, i):
+    z = op(k, v, j)
+    if z is not None and op(k, y, j) != op(k, z, i):
         bad.append(f"distant {verb}s {i},{j} do not commute: {x}")
     return bad
 
 
-def _check_adjacent(crystal, op, x, i: int, j: int, stats: dict, k: int) -> list[str]:
-    """The rules at x on side k, whose operator is ``op``, for neighbouring
+def _check_adjacent(table, k: int, x, v: int, i: int, j: int, stats: dict) -> list[str]:
+    """The rules on side k at x, vertex v of ``table``, for neighbouring
     indices i, j, given x's (eps, phi) at every index.  ``near`` is the
     side's own statistic (eps when raising), ``far`` the other one."""
-    verb = _VERBS[k]
+    verb, op = _VERBS[k], table.op
     near, far = _STATS[k], _STATS[1 - k]
     si, sj = stats[i], stats[j]
     bad = []
-    oi_x = op(x, i)
+    oi_x = op(k, v, i)
     if oi_x is not None:
-        s = crystal.stats(oi_x, j)
+        s = table.stats(oi_x, j)
         d_near, d_far = s[k] - sj[k], s[1 - k] - sj[1 - k]
         if (d_near, d_far) not in {(0, -1), (1, 0)}:
             bad.append(f"{verb} {i} broke the {j} dichotomy: {x}")
         if d_near == 0 and sj[k] > 0:
             # applying i left near_j alone: the two operators
             # commute, and applying j bumps near_i without touching far_i
-            oj_x = op(x, j)
-            if oj_x is None or op(oj_x, i) != op(oi_x, j):
+            oj_x = op(k, v, j)
+            if oj_x is None or op(k, oj_x, i) != op(k, oi_x, j):
                 bad.append(f"{verb}s {i},{j} do not commute: {x}")
             else:
-                s = crystal.stats(oj_x, i)
+                s = table.stats(oj_x, i)
                 if s[1 - k] != si[1 - k]:
                     bad.append(f"{verb} {j} moved {far}_{i}: {x}")
                 elif s[k] != si[k] + 1:
                     bad.append(f"{verb} {j} did not bump {near}_{i}: {x}")
-    oj_x = op(x, j)
-    if oj_x is not None and crystal.stats(oj_x, i)[k] == si[k] + 1:
-        oioj = op(oj_x, i)
-        if oioj is None or crystal.stats(oioj, j)[k] != sj[k] - 1:
+    oj_x = op(k, v, j)
+    if oj_x is not None and table.stats(oj_x, i)[k] == si[k] + 1:
+        oioj = op(k, oj_x, i)
+        if oioj is None or table.stats(oioj, j)[k] != sj[k] - 1:
             bad.append(f"{verb} pair {i},{j} did not drop {near}_{j}: {x}")
     return bad

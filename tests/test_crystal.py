@@ -13,7 +13,7 @@ from sympcrystal.crystal import (
     CrystalGraph,
     KingCrystal,
     MatrixCrystal,
-    MemoCrystal,
+    OperatorTable,
     SsotCrystal,
     axiom_violations,
     crystal_graph,
@@ -547,20 +547,19 @@ def test_stembridge_checker_detects_lies():
 
 
 # ---------------------------------------------------------------------------
-# the operator memo
+# the operator table
 
 
-class _Unmemoised(MemoCrystal):
-    """Passes every call straight to the base: the checkers' raw route."""
+class _Unmemoised(OperatorTable):
+    """Asks the base on every call, keeping only the numbering: the
+    checkers' raw route."""
 
-    def e(self, x, i):
-        return self.base.e(x, i)
+    def op(self, k, v, i):
+        out = (self.crystal.e, self.crystal.f)[k](self.objects[v], i)
+        return None if out is None else self.id(out)
 
-    def f(self, x, i):
-        return self.base.f(x, i)
-
-    def stats(self, x, i):
-        return self.base.stats(x, i)
+    def stats(self, v, i):
+        return self.crystal.stats(self.objects[v], i)
 
 
 class _CrossedTypeA(_TypeA):
@@ -601,7 +600,7 @@ def test_memoised_checkers_match_raw_on_broken_crystals():
     classical = _classical_corpus(3, 3)
     for broken in (_Liar(3), _CrossedTypeA(3)):
         # no m and no weight: only the Stembridge battery applies
-        assert not hasattr(MemoCrystal(broken), "weight")
+        assert not hasattr(broken, "weight")
         assert _same_violations(broken, classical, stembridge_violations) != []
     crossed = _CrossedSsot(3, 2)
     assert _same_violations(crossed, _ssot_corpus(3, 2), axiom_violations) != []
@@ -686,18 +685,49 @@ def test_memo_stores_what_the_base_returned_and_no_exception():
             return super().f(x, i)
 
     base = Counting(2, 1)
-    memo = MemoCrystal(base)
-    assert (memo.indices, memo.m, memo.g) == ((0, 1), 2, 1)
     x = next(t for t in enumerate_ssot(None, 2, 1) if base.e(t, 0) is not None)
+    table = OperatorTable(base, [x])
+    assert table.objects == [x] and table.id(x) == 0
     base.calls.clear()
-    y = memo.e(x, 0)
-    assert memo.e(x, 0) is y and memo.weight(y) == base.weight(y)
+    y = table.op(0, 0, 0)
+    assert table.op(0, 0, 0) == y and table.weight(y) == base.weight(table.objects[y])
     # f(e(x)) is asked of the base, not inferred to be x
-    assert memo.f(y, 0) == x and base.calls == Counter({("e", x, 0): 1, ("f", y, 0): 1})
+    assert table.op(1, y, 0) == 0 and table.image(1, table.objects[y], 0) == x
+    assert base.calls == Counter({("e", x, 0): 1, ("f", table.objects[y], 0): 1})
+    # an output outside the given vertices gets the next id
+    assert y == 1 and table.objects[y] == base.e(x, 0)
+    # a one-strip chain lies outside the crystal: its index 1 raises, twice
+    short = ssot_from_text("(1 1b)")
+    assert table.id(short) == 2
     for _ in range(2):
         with pytest.raises(ValueError):
-            memo.e(x, 5)
-    assert base.calls["e", x, 5] == 2
+            table.op(0, 2, 1)
+    assert base.calls["e", short, 1] == 2
+
+
+def test_axiom_checker_hashes_each_object_once_and_weighs_each_vertex_once(monkeypatch):
+    @dataclass(frozen=True)
+    class Weighing(SsotCrystal):
+        weights: Counter = field(default_factory=Counter, compare=False)
+
+        def weight(self, x):
+            self.weights["weight"] += 1  # a key that is not an SSOT
+            return super().weight(x)
+
+    crystal, corpus = Weighing(3, 2), _ssot_corpus(3, 2)
+    outputs = sum(op(x, i) is not None
+                  for x in corpus for i in crystal.indices for op in (crystal.e, crystal.f))
+    hashes = Counter()
+    real = SSOT.__hash__
+
+    def counting(self):
+        hashes["SSOT"] += 1
+        return real(self)
+
+    monkeypatch.setattr(SSOT, "__hash__", counting)
+    assert axiom_violations(crystal, corpus) == []
+    assert hashes["SSOT"] == len(corpus) + outputs
+    assert crystal.weights["weight"] == len(corpus)
 
 
 # ---------------------------------------------------------------------------
