@@ -7,23 +7,24 @@
   symmetric nonnegative matrix with even diagonal, by standardizing the
   tableau to a fixed-point-free involution and semistandardizing back.
 
-Both come with inverses and raise ValueError off their domains.  The row
-insertion that ``phi`` unwinds and ``phi_inverse`` replays lives here, since no
-other production route uses it; :mod:`sympcrystal.rsk` holds column insertion.
+Both come with inverses and raise ValueError off their domains.  ``phi``
+unwinds row insertion and ``phi_inverse`` replays it, through the strict side
+of :func:`sympcrystal.rsk.bump` and :func:`sympcrystal.rsk.unbump`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 from .oscillating import SSOT, OscStrip
 from .rsk import (
     Matrix,
+    bump,
     is_admissible,
     matrix,
     row_sums,
     two_line_array,
+    unbump,
 )
 from .tableaux import (
     KingTableau,
@@ -103,44 +104,7 @@ def standardized_word(m: Matrix) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# row insertion, which phi and phi_inverse walk
-
-
-def _row_bump(rows: list[list[int]], x: int) -> tuple[int, int]:
-    """Row-insert ``x`` (bump the leftmost strictly larger entry); 0-based box."""
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append([x])
-            return r, 0
-        row = rows[r]
-        pos = bisect_right(row, x)
-        if pos == len(row):
-            row.append(x)
-            return r, len(row) - 1
-        x, row[pos] = row[pos], x
-        r += 1
-
-
-def _reverse_row_bump(rows: list[list[int]], r: int) -> int:
-    """Undo a row insertion whose new box ended row ``r`` (0-based); return the letter.
-
-    The cell removed is the last box of that row, which must be a corner.
-    """
-    if r < 0 or r >= len(rows):
-        raise ValueError(f"no row {r + 1}")
-    if r + 1 < len(rows) and len(rows[r + 1]) >= len(rows[r]):
-        raise ValueError(f"row {r + 1} does not end at a corner")
-    x = rows[r].pop()
-    if not rows[r]:
-        rows.pop()
-    for rr in range(r - 1, -1, -1):
-        rowr = rows[rr]
-        pos = bisect_left(rowr, x) - 1
-        if pos < 0:
-            raise ValueError("reverse insertion fell off a row")
-        x, rowr[pos] = rowr[pos], x
-    return x
+# oscillating tableaux <-> symmetric matrices
 
 
 def _pop_largest(rows: list[list[int]]) -> tuple[int, int, int]:
@@ -161,10 +125,6 @@ def _pop_largest(rows: list[list[int]]) -> tuple[int, int, int]:
     return value, r, c
 
 
-# ---------------------------------------------------------------------------
-# oscillating tableaux <-> symmetric matrices
-
-
 def phi(t: SSOT) -> Matrix:
     """Matrix of the involution matched by unwinding the tableau's removals."""
     if t.inside != () or t.outside != ():
@@ -174,7 +134,7 @@ def phi(t: SSOT) -> Matrix:
     mate: dict[int, int] = {}
     for k, s in enumerate(word, start=1):
         if s < 0:
-            j = _reverse_row_bump(rows, -s - 1)
+            j = unbump(rows, -s - 1, True)
             mate[j], mate[k] = k, j
         elif s > len(rows):
             rows.append([k])
@@ -204,7 +164,7 @@ def phi_inverse(m: Matrix) -> SSOT:
     letters = [0] * total
     for k in range(total, 0, -1):
         if k > w[k]:
-            letters[k - 1] = -(_row_bump(rows, w[k])[0] + 1)
+            letters[k - 1] = -(bump(rows, w[k], True)[0] + 1)
             continue
         # k is in the tableau: step w[k] > k inserted it
         largest, r, _ = _pop_largest(rows)

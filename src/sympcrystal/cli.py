@@ -193,12 +193,13 @@ def cmd_char(args):
             f = schur_eval(parse_partition(args.mu), args.m)
         return partition_count_lines(brauer_klimyk(lam, f, args.m)), True
     # pieri: strip counts for one column length, optionally a single target
-    lam = parse_partition(args.lam)
+    lam = shape_in_rows(parse_partition(args.lam), args.m)
     ell = args.index
     if ell is None:
         raise UsageError("char pieri needs --index (the strip size)")
     if args.nu is not None:
-        return [str(dual_pieri_count(lam, ell, parse_partition(args.nu), args.m))], True
+        nu = shape_in_rows(parse_partition(args.nu), args.m)
+        return [str(dual_pieri_count(lam, ell, nu, args.m))], True
     counts = dual_pieri_counts(lam, ell, args.m)
     return sorted(f"{format_partition(nu)}\t{c}" for nu, c in counts.items()), True
 

@@ -151,36 +151,35 @@ def ssot_lower(t: SSOT, i: int, g: int) -> SSOT | None:
 # operators on nonnegative-integer matrices
 
 
-def _checked_insertion(m: Matrix, i: int, g: int) -> tuple[Tableau, Tableau] | None:
-    """Reject a matrix outside the crystal or a bad index; return the pair
-    ``(P, Q)`` for i >= 1, None at index 0 (which inserts nothing)."""
+def _checked_insertion(m: Matrix, i: int, g: int) -> Tableau | None:
+    """Reject a matrix outside the crystal or a bad index; return ``P`` for
+    i >= 1 (an admissible matrix has ``Q = P``), None at index 0 (which
+    inserts nothing)."""
     if not is_admissible(m):
         raise ValueError("matrix must be symmetric with even diagonal")
     if not 0 <= i <= len(m) - 1:
         raise ValueError(f"index {i} out of range for a {len(m)}-row matrix")
     if i == 0:
-        pair, width = None, c_index(m)
+        p, width = None, c_index(m)
     else:
-        pair = rsk_column(m)
-        width = len(pair[0].rows[0]) if pair[0].rows else 0
+        p = rsk_column(m)[0]
+        width = len(p.rows[0]) if p.rows else 0
     if width > 2 * g:
         raise ValueError("matrix has more than 2g weakly decreasing positions")
-    return pair
+    return p
 
 
 def _matrix_move(m: Matrix, i: int, g: int, k: int) -> Matrix | None:
     """:func:`matrix_raise` on side 0, :func:`matrix_lower` on side 1."""
-    pair = _checked_insertion(m, i, g)
-    if pair is None:
+    p = _checked_insertion(m, i, g)
+    if p is None:
         corner = m[0][0] + (-2, 2)[k]
         if corner < 0:
             return None
         out = matrix([(corner, *m[0][1:]), *m[1:]])
         return out if k == 0 or c_index(out) <= 2 * g else None
-    p2, q2 = (_ssyt_move(t, i, k) for t in pair)
-    if p2 is None or q2 is None:
-        return None
-    return rsk_column_inverse(p2, q2, len(m), len(m[0]))
+    p2 = _ssyt_move(p, i, k)
+    return None if p2 is None else rsk_column_inverse(p2, p2, len(m), len(m[0]))
 
 
 def matrix_raise(m: Matrix, i: int, g: int) -> Matrix | None:
@@ -197,10 +196,10 @@ def matrix_lower(m: Matrix, i: int, g: int) -> Matrix | None:
 
 def matrix_stats(m: Matrix, i: int, g: int) -> tuple[int, int]:
     """(epsilon, phi) from one insertion; index 0 reads the top row."""
-    pair = _checked_insertion(m, i, g)
-    if pair is None:
+    p = _checked_insertion(m, i, g)
+    if p is None:
         return m[0][0] // 2, m[0][0] // 2 + g - sum(m[0])
-    return ssyt_stats(pair[0], i)
+    return ssyt_stats(p, i)
 
 
 def matrix_weight(m: Matrix, g: int) -> Weight:

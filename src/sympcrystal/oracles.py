@@ -9,7 +9,7 @@
   :func:`rotate180`, with :func:`row_insert` and :func:`row_insert_word`
   (``test_rsk.py::test_rotation_identity_*``,
   ``test_rsk.py::test_column_insert_is_row_insert_reversed``; acceptance
-  criterion 9).
+  criterion 9).  Both sides run ``rsk.bump``, strict against weak.
 * :func:`longest_weakly_decreasing`, Schensted's statistic: the length of
   the first row of ``P(M)`` (``test_rsk.py::test_schensted_statistic``;
   acceptance criterion 9).
@@ -36,12 +36,11 @@ from bisect import bisect_right
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-from .bijections import _row_bump
 from .oscillating import SSOT, OscStrip, _box_step, pair_multisets
 from .rsk import (
     Matrix,
-    _column_bump,
     _tableau_from_cols,
+    bump,
     matrix,
     transpose_matrix,
     two_line_array,
@@ -53,7 +52,7 @@ def column_insert_word(word: Sequence[int]) -> Tableau:
     """Column-insert a word letter by letter, starting from the empty tableau."""
     cols: list[list[int]] = []
     for x in word:
-        _column_bump(cols, x)
+        bump(cols, x, False)
     return _tableau_from_cols(cols)
 
 
@@ -74,14 +73,14 @@ def rotate180(m: Matrix) -> Matrix:
 
 def row_insert(t: Tableau, x: int) -> Tableau:
     rows = [list(r) for r in t.rows]
-    _row_bump(rows, x)
+    bump(rows, x, True)
     return Tableau(tuple(tuple(r) for r in rows))
 
 
 def row_insert_word(word: Sequence[int]) -> Tableau:
     rows: list[list[int]] = []
     for x in word:
-        _row_bump(rows, x)
+        bump(rows, x, True)
     return Tableau(tuple(tuple(r) for r in rows))
 
 
@@ -90,7 +89,7 @@ def rsk_row(pairs: Iterable[tuple[int, int]]) -> tuple[Tableau, Tableau]:
     rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for label, x in pairs:
-        r, _ = _row_bump(rows, x)
+        r, _ = bump(rows, x, True)
         if r == len(q_rows):
             q_rows.append([])
         q_rows[r].append(label)

@@ -1,12 +1,15 @@
-"""Column insertion, two-line arrays, and the matrix correspondence.
+"""Schensted insertion in both directions, two-line arrays, and the matrix
+correspondence.
 
 A matrix here is a tuple of equal-length tuples of nonnegative ints.  The
 two-line array of a matrix lists each cell ``(i, j)`` with multiplicity
 ``M[i][j]``, ordered so the top line weakly increases and, within a block of
 equal top entries, the bottom line weakly decreases.
 
-Column insertion of ``x`` bumps the smallest entry that is at least ``x``
-(weakly) out of the current column and carries it one column to the right.
+:func:`bump` is Schensted's bump on ascending lines: row insertion bumps the
+leftmost entry strictly larger than ``x`` out of a row into the next row,
+column insertion bumps the smallest entry that is at least ``x`` out of a
+column into the next column; :func:`unbump` walks either one back.
 ``P(M)`` column-inserts the bottom line in one pass, and ``Q(M)`` records the
 top letter of each step in the row where its new box lands; the transpose
 definition ``Q(M) = P(M transposed)`` is kept in :mod:`sympcrystal.oracles`.
@@ -135,7 +138,7 @@ def matrix_from_pairs(
 
 
 # ---------------------------------------------------------------------------
-# column insertion
+# Schensted insertion
 
 
 def _cols_of(t: Tableau) -> list[list[int]]:
@@ -154,20 +157,47 @@ def _tableau_from_cols(cols: list[list[int]]) -> Tableau:
     return Tableau(tuple(rows))
 
 
-def _column_bump(cols: list[list[int]], x: int) -> tuple[int, int]:
-    """Insert ``x``; return the (row, col) of the new box, 0-based."""
-    c = 0
+def bump(lines: list[list[int]], x: int, strict: bool) -> tuple[int, int]:
+    """Insert ``x`` into ascending lines (rows when ``strict``, columns when
+    not); return the (line, position) of the new box, 0-based.
+
+    Each line swaps ``x`` for its first entry greater than ``x`` when
+    ``strict`` (or at least ``x`` when not) and passes that entry on.
+    """
+    find = bisect_right if strict else bisect_left
+    k = 0
     while True:
-        if c == len(cols):
-            cols.append([x])
-            return 0, c
-        col = cols[c]
-        pos = bisect_left(col, x)
-        if pos == len(col):
-            col.append(x)
-            return len(col) - 1, c
-        x, col[pos] = col[pos], x
-        c += 1
+        if k == len(lines):
+            lines.append([x])
+            return k, 0
+        line = lines[k]
+        pos = find(line, x)
+        if pos == len(line):
+            line.append(x)
+            return k, pos
+        x, line[pos] = line[pos], x
+        k += 1
+
+
+def unbump(lines: list[list[int]], k: int, strict: bool) -> int:
+    """Undo a :func:`bump` whose new box ended line ``k`` (0-based); return the
+    letter.  The box removed is the last of that line, which must be a corner.
+    """
+    if k < 0 or k >= len(lines):
+        raise ValueError(f"no line {k + 1}")
+    if k + 1 < len(lines) and len(lines[k + 1]) >= len(lines[k]):
+        raise ValueError(f"line {k + 1} does not end at a corner")
+    find = bisect_left if strict else bisect_right
+    x = lines[k].pop()
+    if not lines[k]:
+        lines.pop()
+    for j in range(k - 1, -1, -1):
+        line = lines[j]
+        pos = find(line, x) - 1
+        if pos < 0:
+            raise ValueError("reverse insertion fell off a line")
+        x, line[pos] = line[pos], x
+    return x
 
 
 def rsk_column(m: Matrix) -> tuple[Tableau, Tableau]:
@@ -181,28 +211,12 @@ def rsk_column(m: Matrix) -> tuple[Tableau, Tableau]:
     for i, row in enumerate(m, start=1):
         for j in range(len(row), 0, -1):
             for _ in range(row[j - 1]):
-                r, _ = _column_bump(cols, j)
+                _, r = bump(cols, j, False)
                 if r == len(q_rows):
                     q_rows.append([i])
                 else:
                     q_rows[r].append(i)
     return _tableau_from_cols(cols), Tableau(tuple(map(tuple, q_rows)))
-
-
-def _reverse_column_extract(cols: list[list[int]], row: int, col: int) -> int:
-    """Undo an insertion whose new box was at (row, col); return the letter."""
-    if col >= len(cols) or len(cols[col]) != row + 1:
-        raise ValueError("cell is not a removable corner")
-    x = cols[col].pop()
-    if not cols[col]:
-        cols.pop()
-    for c in range(col - 1, -1, -1):
-        colc = cols[c]
-        pos = bisect_right(colc, x) - 1
-        if pos < 0:
-            raise ValueError("reverse insertion fell off a column")
-        x, colc[pos] = colc[pos], x
-    return x
 
 
 def rsk_column_inverse(
@@ -217,11 +231,9 @@ def rsk_column_inverse(
     if p.shape != q.shape:
         raise ValueError("tableaux have different shapes")
     cols = _cols_of(p)
-    order = sorted(
-        ((v, c, r) for r, row in enumerate(q.rows) for c, v in enumerate(row)),
-        reverse=True,
-    )
-    pairs = [(v, _reverse_column_extract(cols, r, c)) for v, c, r in order]
+    # a semistandard q holds each (value, column) at most once
+    order = sorted(((v, c) for row in q.rows for c, v in enumerate(row)), reverse=True)
+    pairs = [(v, unbump(cols, c, False)) for v, c in order]
     return matrix_from_pairs(pairs, nrows, ncols)
 
 
@@ -235,7 +247,7 @@ def c_index(m: Matrix) -> int:
     for row in m:
         for j in range(len(row), 0, -1):
             for _ in range(row[j - 1]):
-                _column_bump(cols, j)
+                bump(cols, j, False)
     return len(cols)
 
 

@@ -298,6 +298,23 @@ def test_char_pieri(capsys):
     assert (code, out) == (0, "2\n")
 
 
+def test_char_pieri_rejects_lambda_with_too_many_rows(capsys):
+    code, out, err = run_cli(
+        capsys, "char", "pieri", "--lambda", "[1,1,1]", "--index", "1", "--m", "2"
+    )
+    assert (code, out) == (3, "")
+    assert err == "invalid input: shape (1, 1, 1) has more than 2 rows\n"
+
+
+def test_char_pieri_rejects_nu_with_too_many_rows(capsys):
+    code, out, err = run_cli(
+        capsys, "char", "pieri", "--lambda", "[1]", "--index", "1", "--m", "2",
+        "--nu", "[1,1,1,1]",
+    )
+    assert (code, out) == (3, "")
+    assert err == "invalid input: shape (1, 1, 1, 1) has more than 2 rows\n"
+
+
 def test_char_decompose_checks_lambda_rows_first(capsys):
     # lambda's row bound is checked before --mu is read, so its message wins
     for mu in ("[1]", "[1,2]", "[-1]"):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympcrystal.bijections import _pop_largest, _reverse_row_bump
+from sympcrystal.bijections import _pop_largest
 from sympcrystal.oracles import (
     column_insert_word,
     complemented_row_pairs,
@@ -15,7 +15,7 @@ from sympcrystal.oracles import (
     rsk_row,
 )
 from sympcrystal.rsk import (
-    _reverse_column_extract,
+    bump,
     c_index,
     enumerate_admissible,
     format_matrix,
@@ -29,6 +29,7 @@ from sympcrystal.rsk import (
     symmetric_even_diagonal,
     transpose_matrix,
     two_line_array,
+    unbump,
 )
 from sympcrystal.tableaux import Tableau, partitions_of, tableaux_of_shape
 
@@ -118,10 +119,23 @@ def test_row_insert_known():
 
 def test_reverse_row_insert():
     rows = [list(r) for r in row_insert_word((1, 2, 3, 1)).rows]
-    x = _reverse_row_bump(rows, 1)
+    x = unbump(rows, 1, True)
     assert x == 1 and Tableau(rows) == row_insert_word((1, 2, 3))
-    with pytest.raises(ValueError):
-        _reverse_row_bump([[1, 1], [2, 2]], 0)  # not a corner
+    # rows on the strict side, their transposes on the weak (column) side
+    for strict, square in ((True, [[1, 1], [2, 2]]), (False, [[1, 2], [1, 2]])):
+        for word in ((1, 2, 3, 1), (3, 1, 2, 2, 1, 3, 1), (2, 2, 1, 1)):
+            lines: list[list[int]] = []
+            for letter in word:
+                before = [list(line) for line in lines]
+                k, _ = bump(lines, letter, strict)
+                after = [list(line) for line in lines]
+                assert unbump(lines, k, strict) == letter and lines == before
+                lines = after
+        with pytest.raises(ValueError, match="does not end at a corner"):
+            unbump([list(line) for line in square], 0, strict)
+        for k in (-1, 2):
+            with pytest.raises(ValueError, match="no line"):
+                unbump([list(line) for line in square], k, strict)
 
 
 @given(st.lists(st.integers(1, 5), max_size=8))
@@ -183,8 +197,8 @@ def _reference_inverse(p, q, nrows=None, ncols=None):
     q_rows = [list(r) for r in q.rows]
     pairs = []
     for _ in range(p.size):
-        value, r, c = _pop_largest(q_rows)
-        pairs.append((value, _reverse_column_extract(cols, r, c)))
+        value, _, c = _pop_largest(q_rows)
+        pairs.append((value, unbump(cols, c, False)))
     return matrix_from_pairs(pairs, nrows, ncols)
 
 
