@@ -63,7 +63,7 @@ from .tableaux import (
     king_weight,
     parse_partition,
     partitions_in_box,
-    partitions_of,
+    partitions_upto,
     rect_complement,
     shape_in_rows,
     weight_to_partition,
@@ -285,16 +285,11 @@ def suite_crystal(m, g):
     return rows
 
 
-def _parts_upto(n, max_length=None):
-    for k in range(n + 1):
-        yield from partitions_of(k, max_length)
-
-
 def suite_characters(m, max_size):
     rows = []
     ok = True
     n = 0
-    for lam in _parts_upto(max_size, m):
+    for lam in partitions_upto(max_size, m):
         n += 1
         if king_character(lam, m) != weyl_character(lam, m):
             ok = False
@@ -305,12 +300,12 @@ def suite_characters(m, max_size):
     # e_ell and h_ell do not depend on lam: one Schur evaluation each
     elementary = [schur_eval((1,) * ell, m) for ell in range(4)]
     complete = [schur_eval((ell,), m) for ell in range(4)]
-    for lam in _parts_upto(min(max_size, 4), m):
+    for lam in partitions_upto(min(max_size, 4), m):
         for ell in range(4):
             dec_e = brauer_klimyk(lam, elementary[ell], m)
             dec_h = brauer_klimyk(lam, complete[ell], m)
             strips = dual_pieri_counts(lam, ell, m)
-            for nu in _parts_upto(min(max_size, 4) + ell, m):
+            for nu in partitions_upto(min(max_size, 4) + ell, m):
                 checked += 1
                 if dec_e.get(nu, 0) != strips[nu]:
                     dp_ok = False
@@ -319,7 +314,7 @@ def suite_characters(m, max_size):
     rows.append(("characters", "dual_pieri_rule", dp_ok, f"checks={checked}"))
     rows.append(("characters", "row_pieri_rule", h_ok, f"checks={checked}"))
     rng = random.Random(0)
-    pool = list(_parts_upto(min(max_size, 3), m))
+    pool = partitions_upto(min(max_size, 3), m)
     rec_ok = True
     for _ in range(20):
         a, b = rng.choice(pool), rng.choice(pool)
@@ -338,8 +333,8 @@ def suite_conjecture(m, max_size):
     asserted = reported = 0
     bad = []
     memo, schurs = {}, {}  # one strip table and one Schur table for every pair
-    for lam in _parts_upto(max_size, m):
-        for mu in _parts_upto(max_size, m):
+    for lam in partitions_upto(max_size, m):
+        for mu in partitions_upto(max_size, m):
             r = conjecture_verify(lam, mu, m, memo, schurs)
             if r.mode == "ASSERT":
                 asserted += 1

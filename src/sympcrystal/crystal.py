@@ -7,7 +7,8 @@ ascending lists of signed rows at the junction of two consecutive strips;
 those lists and the statistics read off them come from
 :mod:`sympcrystal.oscillating`.
 Each model's raise and lower are the two sides of one body (side 0 raises,
-side 1 lowers); the public names are one-line calls to their side.
+side 1 lowers), reached through the model's crystal object; the type-A
+tableau crystal the matrix model is built from keeps its ``ssyt_*`` functions.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from .oscillating import (
 from .rsk import (
     Matrix,
     c_index,
+    column_insert_word,
     is_admissible,
     matrix,
     row_sums,
-    rsk_column,
     rsk_column_inverse,
+    two_line_array,
 )
 from .tableaux import (
     KingTableau,
@@ -115,9 +117,10 @@ def _rebuild_junction(t: SSOT, i: int, c: list[int], d: list[int]) -> SSOT:
 
 
 def _ssot_move(t: SSOT, i: int, g: int, k: int) -> SSOT | None:
-    """:func:`ssot_raise` on side 0, :func:`ssot_lower` on side 1.  At index
-    0 a side stops once its statistic is 0: eps counts the removals of the
-    first strip, phi is g minus its additions."""
+    """Side 0 raises, side 1 lowers.  At index 0 a side deletes or appends a
+    (1,-1) pair in the first strip until its statistic is 0 (eps counts the
+    first strip's removals, phi is g minus its additions); at i >= 1 it moves
+    the largest (side 0) or smallest (side 1) unpaired junction element."""
     if i == 0:
         a, b = first_strip_counts(t)
         if (b, g - a)[k] <= 0:
@@ -132,19 +135,6 @@ def _ssot_move(t: SSOT, i: int, g: int, k: int) -> SSOT | None:
     lists[1 - k].remove(q)
     insort(lists[k], q)
     return _rebuild_junction(t, i, *lists)
-
-
-def ssot_raise(t: SSOT, i: int) -> SSOT | None:
-    """Raising operator; index 0 deletes a (1,-1) pair from the first strip,
-    index i >= 1 moves the largest unpaired junction element leftward."""
-    return _ssot_move(t, i, 0, 0)  # g is read on the lowering side only
-
-
-def ssot_lower(t: SSOT, i: int, g: int) -> SSOT | None:
-    """Lowering operator; index 0 appends a (1,-1) pair to the first strip
-    (None once it holds g additions), index i >= 1 moves the smallest
-    unpaired junction element rightward."""
-    return _ssot_move(t, i, g, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +152,7 @@ def _checked_insertion(m: Matrix, i: int, g: int) -> Tableau | None:
     if i == 0:
         p, width = None, c_index(m)
     else:
-        p = rsk_column(m)[0]
+        p = column_insert_word(two_line_array(m)[1])
         width = len(p.rows[0]) if p.rows else 0
     if width > 2 * g:
         raise ValueError("matrix has more than 2g weakly decreasing positions")
@@ -170,7 +160,9 @@ def _checked_insertion(m: Matrix, i: int, g: int) -> Tableau | None:
 
 
 def _matrix_move(m: Matrix, i: int, g: int, k: int) -> Matrix | None:
-    """:func:`matrix_raise` on side 0, :func:`matrix_lower` on side 1."""
+    """Side 0 raises, side 1 lowers.  Index 0 moves two units at the top-left
+    entry (lowering stops at 2g columns); index i >= 1 moves ``P`` through
+    the type-A operator and inverts ``(P', P')``."""
     p = _checked_insertion(m, i, g)
     if p is None:
         corner = m[0][0] + (-2, 2)[k]
@@ -182,40 +174,15 @@ def _matrix_move(m: Matrix, i: int, g: int, k: int) -> Matrix | None:
     return None if p2 is None else rsk_column_inverse(p2, p2, len(m), len(m[0]))
 
 
-def matrix_raise(m: Matrix, i: int, g: int) -> Matrix | None:
-    """Index 0 removes two units from the top-left entry; index i >= 1 acts
-    through the type-A raise on both insertion and recording tableaux."""
-    return _matrix_move(m, i, g, 0)
-
-
-def matrix_lower(m: Matrix, i: int, g: int) -> Matrix | None:
-    """Index 0 adds two units to the top-left entry (None when that would
-    push the tableau pair past 2g columns); index i >= 1 lowers both."""
-    return _matrix_move(m, i, g, 1)
-
-
-def matrix_stats(m: Matrix, i: int, g: int) -> tuple[int, int]:
-    """(epsilon, phi) from one insertion; index 0 reads the top row."""
-    p = _checked_insertion(m, i, g)
-    if p is None:
-        return m[0][0] // 2, m[0][0] // 2 + g - sum(m[0])
-    return ssyt_stats(p, i)
-
-
-def matrix_weight(m: Matrix, g: int) -> Weight:
-    """Coordinate i is g minus the i-th row sum."""
-    return tuple(g - s for s in row_sums(m))
-
-
 # ---------------------------------------------------------------------------
 # uniform adapters
 
 
 @dataclass(frozen=True)
 class _Adapter:
-    """A crystal with indices 0..m-1 whose peaks are at most g columns wide.
-    Each model keeps ``e`` and ``f`` in its own class body, where
-    ``perfbench/tracer.py`` finds them."""
+    """A crystal with indices 0..m-1 whose peaks are at most g columns wide,
+    the one public route to its model.  Each model keeps ``e`` and ``f`` in
+    its own class body, where ``perfbench/tracer.py`` finds them."""
 
     m: int
     g: int
@@ -252,10 +219,14 @@ class MatrixCrystal(_Adapter):
         return _matrix_move(x, i, self.g, 1)
 
     def stats(self, x: Matrix, i: int) -> tuple[int, int]:
-        return matrix_stats(x, i, self.g)
+        """(epsilon, phi) from one insertion; index 0 reads the top row."""
+        p = _checked_insertion(x, i, self.g)
+        if p is None:
+            return x[0][0] // 2, x[0][0] // 2 + self.g - sum(x[0])
+        return ssyt_stats(p, i)
 
     def weight(self, x: Matrix) -> Weight:
-        return matrix_weight(x, self.g)
+        return tuple(self.g - s for s in row_sums(x))
 
 
 class KingCrystal(_Adapter):

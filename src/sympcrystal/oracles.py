@@ -1,7 +1,7 @@
 """Independent reference routes; only the tests and ``verify`` import this module.
 
 * :func:`rsk_column_transpose`, ``Q(M) = P(M transposed)`` by
-  :func:`column_insert_word`: compared with ``rsk.rsk_column`` and
+  ``rsk.column_insert_word``: compared with ``rsk.rsk_column`` and
   ``rsk.c_index`` on every matrix up to 4 x 4 of entry sum at most 4
   (``test_rsk.py::test_recorded_matches_transpose_definition``).
 * The row route of the rotation identity, :func:`rsk_row` on
@@ -39,21 +39,13 @@ from typing import Iterable, Iterator, Sequence
 from .oscillating import SSOT, OscStrip, _box_step, pair_multisets
 from .rsk import (
     Matrix,
-    _tableau_from_cols,
     bump,
+    column_insert_word,
     matrix,
     transpose_matrix,
     two_line_array,
 )
 from .tableaux import Partition, Tableau
-
-
-def column_insert_word(word: Sequence[int]) -> Tableau:
-    """Column-insert a word letter by letter, starting from the empty tableau."""
-    cols: list[list[int]] = []
-    for x in word:
-        bump(cols, x, False)
-    return _tableau_from_cols(cols)
 
 
 def rsk_column_transpose(m: Matrix) -> tuple[Tableau, Tableau]:
@@ -247,7 +239,7 @@ def _transposed(op, m: Matrix, i: int) -> Matrix | None:
 
 
 def matrix_raise_surgery(m: Matrix, i: int) -> Matrix | None:
-    """Row surgery then column surgery; agrees with matrix_raise for i >= 1."""
+    """Row surgery then column surgery; agrees with ``MatrixCrystal.e`` for i >= 1."""
     step = surgery_raise_rows(m, i)
     return None if step is None else _transposed(surgery_raise_rows, step, i)
 

@@ -13,6 +13,8 @@ column into the next column; :func:`unbump` walks either one back.
 ``P(M)`` column-inserts the bottom line in one pass, and ``Q(M)`` records the
 top letter of each step in the row where its new box lands; the transpose
 definition ``Q(M) = P(M transposed)`` is kept in :mod:`sympcrystal.oracles`.
+:func:`column_insert_word` builds ``P`` of a word alone: the matrix crystal
+reads ``P`` of the bottom line, since a symmetric matrix has ``Q = P``.
 """
 
 from __future__ import annotations
@@ -198,6 +200,14 @@ def unbump(lines: list[list[int]], k: int, strict: bool) -> int:
             raise ValueError("reverse insertion fell off a line")
         x, line[pos] = line[pos], x
     return x
+
+
+def column_insert_word(word: Iterable[int]) -> Tableau:
+    """Column-insert a word letter by letter, starting from the empty tableau."""
+    cols: list[list[int]] = []
+    for x in word:
+        bump(cols, x, False)
+    return _tableau_from_cols(cols)
 
 
 def rsk_column(m: Matrix) -> tuple[Tableau, Tableau]:

@@ -115,6 +115,11 @@ def partitions_of(n: int, max_length: int | None = None) -> Iterator[Partition]:
     yield from rec(n, n, n if max_length is None else max_length)
 
 
+def partitions_upto(n: int, max_length: int | None = None) -> list[Partition]:
+    """Partitions of size at most ``n``, by size, then as :func:`partitions_of`."""
+    return [p for k in range(n + 1) for p in partitions_of(k, max_length)]
+
+
 def parse_partition(text: str) -> Partition:
     """Parse ``[3,1]`` (or ``[]``) into a partition."""
     return normalize_partition(parse_int_list(text))

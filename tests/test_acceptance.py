@@ -33,12 +33,7 @@ from sympcrystal.crystal import (
     SsotCrystal,
     axiom_violations,
     crystal_graph,
-    matrix_lower,
-    matrix_raise,
-    matrix_stats,
     pair_multisets,
-    ssot_lower,
-    ssot_raise,
     ssot_stats,
     stembridge_violations,
     strip_pair_multisets,
@@ -70,7 +65,7 @@ from sympcrystal.tableaux import (
     enumerate_king,
     king_weight,
     partitions_in_box,
-    partitions_of,
+    partitions_upto,
     rect_complement,
     weight_to_partition,
 )
@@ -90,10 +85,6 @@ def worked_ssot():
             OscStrip((1,), (-1,)),
         )
     )
-
-
-def parts_upto(n, max_length):
-    return [p for k in range(n + 1) for p in partitions_of(k, max_length)]
 
 
 def report(num, label, started, limit=None):
@@ -117,15 +108,16 @@ def test_criterion_01_worked_examples():
     c2, d2 = strip_pair_multisets(t, 2)
     assert c2 == [-2, 1, 1]
     assert d2 == [-2, 2, 2]
-    up = ssot_raise(t, 2)
+    cr = SsotCrystal(4, 3)
+    up = cr.e(t, 2)
     assert (up.strips[1].word, up.strips[2].word) == ((1, 1, -1, -1), (1, 1))
-    down = ssot_lower(t, 2, 3)
+    down = cr.f(t, 2)
     assert (down.strips[1].word, down.strips[2].word) == ((1, 1), (2, 2, -2, -2))
-    lowered = ssot_lower(t, 0, 3)
+    lowered = cr.f(t, 0)
     assert lowered.strips[0].word == (1, 1, -1, -1)
-    lowered = ssot_lower(lowered, 0, 3)
+    lowered = cr.f(lowered, 0)
     assert lowered.strips[0].word == (1, 1, 1, -1, -1, -1)
-    assert ssot_lower(lowered, 0, 3) is None
+    assert cr.f(lowered, 0) is None
     # the four-strip chain through the standardized word to a King tableau
     w = worked_ssot()
     assert standardized_word(M_SMALL) == (6, 4, 5, 2, 3, 1)
@@ -222,22 +214,20 @@ def test_criterion_04_equivariance_and_locality():
     checks = 0
     for m in (1, 2, 3):
         for g in (1, 2):
+            cr_s, cr_m = SsotCrystal(m, g), MatrixCrystal(m, g)
             for t in enumerate_ssot((), m, g):
                 mt = phi(t)
                 for i in range(m):
-                    for ssot_op, matrix_op in (
-                        (lambda x: ssot_raise(x, i), lambda x: matrix_raise(x, i, g)),
-                        (lambda x: ssot_lower(x, i, g), lambda x: matrix_lower(x, i, g)),
-                    ):
-                        out = ssot_op(t)
-                        assert (None if out is None else phi(out)) == matrix_op(mt)
+                    for ssot_op, matrix_op in ((cr_s.e, cr_m.e), (cr_s.f, cr_m.f)):
+                        out = ssot_op(t, i)
+                        assert (None if out is None else phi(out)) == matrix_op(mt, i)
                         if out is not None:
                             touched = {i - 1, i} if i else {0}
                             for j, strip in enumerate(out.strips):
                                 if j not in touched:
                                     assert strip == t.strips[j]
                         checks += 1
-                    assert ssot_stats(t, i, g) == matrix_stats(mt, i, g)
+                    assert ssot_stats(t, i, g) == cr_m.stats(mt, i)
     report(4, f"transport equivariance and locality, {checks} operator checks", started)
 
 
@@ -279,13 +269,13 @@ def test_criterion_06_character_oracles():
     started = time.monotonic()
     shapes = 0
     for m in (1, 2, 3):
-        for lam in parts_upto(6, m):
+        for lam in partitions_upto(6, m):
             assert king_character(lam, m) == weyl_character(lam, m)
             shapes += 1
     rng = random.Random(0)
     products = 0
     for m in (1, 2, 3):
-        pool = parts_upto(3, m)
+        pool = partitions_upto(3, m)
         for _ in range(40):
             a, b = rng.choice(pool), rng.choice(pool)
             f = weyl_character(a, m) * weyl_character(b, m)
@@ -307,8 +297,8 @@ def test_criterion_07_pieri_rules():
     started = time.monotonic()
     checks = 0
     for m in (1, 2, 3):
-        targets = parts_upto(4, m)
-        for lam in parts_upto(4, m):
+        targets = partitions_upto(4, m)
+        for lam in partitions_upto(4, m):
             chi = weyl_character(lam, m)
             for ell in range(4):
                 dec_e = decompose_sp(chi * schur_eval((1,) * ell, m), m)
@@ -324,8 +314,8 @@ def test_criterion_08_product_formula():
     started = time.monotonic()
     asserted = reported = 0
     for m in (2, 3):
-        for lam in parts_upto(4, m):
-            for mu in parts_upto(4, m):
+        for lam in partitions_upto(4, m):
+            for mu in partitions_upto(4, m):
                 r = conjecture_verify(lam, mu, m)
                 if r.mode == "ASSERT":
                     assert r.ok, (m, lam, mu, r.rows)

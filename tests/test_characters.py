@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,14 +27,8 @@ from sympcrystal.tableaux import (
     conjugate,
     enumerate_king,
     normalize_partition,
-    partitions_of,
+    partitions_upto,
 )
-
-
-def parts_upto(n, max_length=None):
-    return list(
-        chain.from_iterable(partitions_of(k, max_length) for k in range(n + 1))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +76,7 @@ def test_weyl_character_anchors():
 
 def test_king_equals_weyl_small():
     for m in (1, 2, 3):
-        for lam in parts_upto(4, m):
+        for lam in partitions_upto(4, m):
             assert king_character(lam, m) == weyl_character(lam, m), (m, lam)
 
 
@@ -185,7 +178,7 @@ def test_decompose_rejects_asymmetric():
 
 
 def test_decompose_reconstructs_every_small_product():
-    cases = [(m, parts_upto(3, m)) for m in (1, 2)] + [(3, parts_upto(2, 3))]
+    cases = [(m, partitions_upto(3, m)) for m in (1, 2)] + [(3, partitions_upto(2, 3))]
     for m, pool in cases:
         for lam in pool:
             for mu in pool:
@@ -198,7 +191,7 @@ def test_decompose_reconstructs_every_small_product():
 
 def test_decompose_reconstructs_random_products():
     rng = random.Random(7)
-    pool = {m: parts_upto(3, m) for m in (1, 2, 3)}
+    pool = {m: partitions_upto(3, m) for m in (1, 2, 3)}
     for _ in range(25):
         m = rng.choice((1, 2, 3))
         a, b = rng.choice(pool[m]), rng.choice(pool[m])
@@ -222,9 +215,9 @@ def test_brauer_klimyk_matches_product_route():
     # Schur evaluation is 0; the multiplicities and their order must agree
     cases = 0
     for m in range(4):
-        for lam in parts_upto(4, m):
+        for lam in partitions_upto(4, m):
             chi = king_character(lam, m)
-            for mu in parts_upto(3):
+            for mu in partitions_upto(3):
                 s = schur_eval(mu, m)
                 want = decompose_sp(chi * s, m)
                 got = brauer_klimyk(lam, s, m)
@@ -277,10 +270,10 @@ def dual_pieri_by_target(lam, ell, nu, g):
 
 def test_dual_pieri_counts_match_per_target_scan():
     for g in range(4):
-        for lam in parts_upto(3):
+        for lam in partitions_upto(3):
             for ell in range(4):
                 counts = dual_pieri_counts(lam, ell, g)
-                targets = parts_upto(sum(lam) + ell)
+                targets = partitions_upto(sum(lam) + ell)
                 assert set(counts) <= set(targets), (g, lam, ell)
                 for nu in targets:
                     want = dual_pieri_by_target(lam, ell, nu, g)
@@ -299,11 +292,11 @@ def test_dual_pieri_anchors():
 
 def test_dual_pieri_matches_decomposition():
     for m in (1, 2):
-        for lam in parts_upto(2, m):
+        for lam in partitions_upto(2, m):
             chi = weyl_character(lam, m)
             for ell in range(4):
                 dec = decompose_sp(chi * schur_eval((1,) * ell, m), m)
-                for nu in parts_upto(3, m):
+                for nu in partitions_upto(3, m):
                     assert dec.get(nu, 0) == dual_pieri_count(lam, ell, nu, m), (
                         m,
                         lam,
@@ -322,11 +315,11 @@ def test_sundaram_anchors():
 
 def test_sundaram_matches_decomposition():
     for m in (1, 2):
-        for lam in parts_upto(2, m):
+        for lam in partitions_upto(2, m):
             chi = weyl_character(lam, m)
             for k in range(4):
                 dec = decompose_sp(chi * schur_eval((k,), m), m)
-                for nu in set(parts_upto(5, m)):
+                for nu in set(partitions_upto(5, m)):
                     assert dec.get(nu, 0) == sundaram_h_count(lam, k, nu), (
                         m,
                         lam,
@@ -358,7 +351,7 @@ def sundaram_by_scan(lam, k, nu):
 
 
 def test_sundaram_matches_subpartition_scan():
-    shapes = parts_upto(4)
+    shapes = partitions_upto(4)
     for lam in shapes:
         for nu in shapes:
             for k in range(9):
@@ -372,8 +365,8 @@ def test_sundaram_matches_subpartition_scan():
 @given(
     st.integers(0, 3).flatmap(
         lambda n: st.tuples(
-            st.sampled_from(parts_upto(3) or [()]),
-            st.sampled_from(parts_upto(3) or [()]),
+            st.sampled_from(partitions_upto(3) or [()]),
+            st.sampled_from(partitions_upto(3) or [()]),
             st.just(n),
         )
     )
@@ -401,8 +394,8 @@ def test_conjecture_lhs_anchors():
 def test_conjecture_table_matches_filter_after_enumerate():
     # the pruned walk against every chain filtered by its junction statistics
     for m, size in [(1, 5), (2, 4), (3, 3)]:
-        for lam in parts_upto(size, m):
-            for mu in parts_upto(size, m):
+        for lam in partitions_upto(size, m):
+            for mu in partitions_upto(size, m):
                 weight = conjugate(mu)
                 n = len(weight)
                 chains = enumerate_ssot(None, n, m, inside=conjugate(lam), weight=weight)
@@ -456,8 +449,8 @@ def test_conjecture_report_mode():
 
 
 def test_conjecture_sweep_small():
-    for lam in parts_upto(3, 2):
-        for mu in parts_upto(3, 2):
+    for lam in partitions_upto(3, 2):
+        for mu in partitions_upto(3, 2):
             r = conjecture_verify(lam, mu, 2)
             assert r.mode == "ASSERT"
             assert r.ok, (lam, mu, r.rows)

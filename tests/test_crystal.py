@@ -20,14 +20,8 @@ from sympcrystal.crystal import (
     decompose,
     graph_to_adjacency,
     graph_to_dot,
-    matrix_lower,
-    matrix_raise,
-    matrix_stats,
-    matrix_weight,
     pair_multisets,
     shift_overlap,
-    ssot_lower,
-    ssot_raise,
     ssot_stats,
     ssyt_lower,
     ssyt_raise,
@@ -43,7 +37,7 @@ from sympcrystal.oracles import (
     strip_removals,
 )
 from sympcrystal.oscillating import SSOT, OscStrip, enumerate_ssot, ssot_from_text
-from sympcrystal.rsk import enumerate_admissible, matrix, rsk_column
+from sympcrystal.rsk import enumerate_admissible, matrix
 from sympcrystal.tableaux import (
     Tableau,
     enumerate_king,
@@ -237,41 +231,42 @@ def _ref_junction_op(t: SSOT, i: int, side: str):
 
 @pytest.mark.parametrize("m,g", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
 def test_junction_lists_match_counter_route(m, g):
+    cr = SsotCrystal(m, g)
     for t in enumerate_ssot(None, m, g):
         for i in range(1, m):
             c, d = _ref_strip_pair_multisets(t, i)
             assert strip_pair_multisets(t, i) == (sorted(c.elements()), sorted(d.elements()))
             assert ssot_stats(t, i, g) == _ref_junction_op(t, i, "stats")
-            assert ssot_raise(t, i) == _ref_junction_op(t, i, "raise")
-            assert ssot_lower(t, i, g) == _ref_junction_op(t, i, "lower")
+            assert cr.e(t, i) == _ref_junction_op(t, i, "raise")
+            assert cr.f(t, i) == _ref_junction_op(t, i, "lower")
 
 
 def test_ssot_junction_ops_anchor():
-    t = running_example()
-    up = ssot_raise(t, 2)
+    t, cr = running_example(), SsotCrystal(4, 3)
+    up = cr.e(t, 2)
     assert up.strips[1].word == (1, 1, -1, -1)
     assert up.strips[2].word == (1, 1)
-    down = ssot_lower(t, 2, 3)
+    down = cr.f(t, 2)
     assert down.strips[1].word == (1, 1)
     assert down.strips[2].word == (2, 2, -2, -2)
     # strips away from the junction never move
     for s in (up, down):
         assert s.strips[0] == t.strips[0]
         assert s.strips[3] == t.strips[3]
-    assert ssot_lower(up, 2, 3) == t
-    assert ssot_raise(down, 2) == t
+    assert cr.f(up, 2) == t
+    assert cr.e(down, 2) == t
     assert ssot_stats(t, 2, 3) == (1, 1)
 
 
 def test_ssot_index0_anchor():
-    t = running_example()
-    down = ssot_lower(t, 0, 3)
+    t, cr = running_example(), SsotCrystal(4, 3)
+    down = cr.f(t, 0)
     assert down.strips[0].word == (1, 1, -1, -1)
     assert down.strips[1:] == t.strips[1:]
-    down2 = ssot_lower(down, 0, 3)
+    down2 = cr.f(down, 0)
     assert down2.strips[0].word == (1, 1, 1, -1, -1, -1)
-    assert ssot_lower(down2, 0, 3) is None
-    assert ssot_raise(down, 0) == t
+    assert cr.f(down2, 0) is None
+    assert cr.e(down, 0) == t
     assert ssot_stats(t, 0, 3) == (1, 2)
 
 
@@ -323,7 +318,7 @@ def test_bounded_walk_on_skew_chains():
 def test_ssot_index0_requires_straight():
     skew = SSOT((OscStrip((1,), (1,)),))
     with pytest.raises(ValueError):
-        ssot_raise(skew, 0)
+        SsotCrystal(1, 2).e(skew, 0)
     with pytest.raises(ValueError):
         ssot_stats(skew, 0, 2)
 
@@ -331,13 +326,14 @@ def test_ssot_index0_requires_straight():
 def test_ssot_empty_strips_stats():
     empty = SSOT((OscStrip((), ()), OscStrip((), ())))
     assert ssot_stats(empty, 0, 3) == (0, 3)
-    assert ssot_raise(empty, 0) is None
-    assert ssot_lower(empty, 0, 3).strips[0].word == (1, -1)
+    cr = SsotCrystal(2, 3)
+    assert cr.e(empty, 0) is None
+    assert cr.f(empty, 0).strips[0].word == (1, -1)
 
 
 def test_ssot_index_out_of_range():
     with pytest.raises(ValueError):
-        ssot_raise(running_example(), 4)
+        SsotCrystal(4, 3).e(running_example(), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -345,23 +341,25 @@ def test_ssot_index_out_of_range():
 
 
 def test_matrix_index0():
-    z = matrix([[0, 0], [0, 0]])
-    assert matrix_raise(z, 0, 1) is None
-    assert matrix_lower(z, 0, 1) == matrix([[2, 0], [0, 0]])
-    assert matrix_lower(matrix([[2]]), 0, 1) is None
-    assert matrix_lower(matrix([[2]]), 0, 2) == matrix([[4]])
-    assert matrix_stats(matrix([[4]]), 0, 2) == (2, 0)
-    assert matrix_weight(matrix([[2, 0], [0, 0]]), 1) == (-1, 1)
+    z, c21 = matrix([[0, 0], [0, 0]]), MatrixCrystal(2, 1)
+    assert c21.e(z, 0) is None
+    assert c21.f(z, 0) == matrix([[2, 0], [0, 0]])
+    assert MatrixCrystal(1, 1).f(matrix([[2]]), 0) is None
+    c12 = MatrixCrystal(1, 2)
+    assert c12.f(matrix([[2]]), 0) == matrix([[4]])
+    assert c12.stats(matrix([[4]]), 0) == (2, 0)
+    assert c21.weight(matrix([[2, 0], [0, 0]])) == (-1, 1)
 
 
 def test_matrix_rejects_wide_input():
     with pytest.raises(ValueError):
-        matrix_raise(matrix([[4]]), 0, 1)  # four columns after insertion
+        MatrixCrystal(1, 1).e(matrix([[4]]), 0)  # four columns after insertion
+    c21 = MatrixCrystal(2, 1)
     with pytest.raises(ValueError):
-        matrix_raise(matrix([[0, 0], [0, 0]]), 2, 1)
-    for op in (matrix_raise, matrix_lower, matrix_stats):
+        c21.e(matrix([[0, 0], [0, 0]]), 2)
+    for op in (c21.e, c21.f, c21.stats):
         with pytest.raises(ValueError, match="2g"):
-            op(matrix([[4, 0], [0, 0]]), 1, 1)  # the bound read off P at i >= 1
+            op(matrix([[4, 0], [0, 0]]), 1)  # the bound read off P at i >= 1
 
 
 @pytest.mark.parametrize(
@@ -373,18 +371,20 @@ def test_matrix_rejects_wide_input():
     ],
 )
 def test_matrix_ops_reject_non_admissible(bad):
-    for op in (matrix_raise, matrix_lower, matrix_stats):
+    cr = MatrixCrystal(2, 2)
+    for op in (cr.e, cr.f, cr.stats):
         for i in (0, 1):
             with pytest.raises(ValueError, match="symmetric with even diagonal"):
-                op(bad, i, 2)
+                op(bad, i)
 
 
 def test_matrix_raise_locality_example():
     m = matrix([[2, 2, 1, 1], [2, 2, 0, 1], [1, 0, 4, 1], [1, 1, 1, 2]])
     expected = matrix([[2, 2, 1, 1], [2, 2, 0, 2], [1, 0, 4, 0], [1, 2, 0, 2]])
-    up = matrix_raise(m, 2, 5)
+    cr = MatrixCrystal(4, 5)
+    up = cr.e(m, 2)
     assert up == expected
-    assert matrix_lower(up, 2, 5) == m
+    assert cr.f(up, 2) == m
     assert matrix_raise_surgery(m, 2) == expected
     # entries outside rows/columns 2,3 are untouched
     for p in (0, 3):
@@ -397,7 +397,7 @@ def test_locality_mask_anchor():
     assert locality_mask(m, 2) == matrix(
         [[0, 0, 0, 0], [2, 1, 0, 0], [1, 0, 2, 0], [1, 1, 1, 0]]
     )
-    assert locality_mask(matrix_raise(m, 2, 5), 2) == matrix(
+    assert locality_mask(MatrixCrystal(4, 5).e(m, 2), 2) == matrix(
         [[0, 0, 0, 0], [2, 1, 0, 0], [1, 0, 2, 0], [1, 2, 0, 0]]
     )
 
@@ -405,16 +405,18 @@ def test_locality_mask_anchor():
 def test_matrix_two_routes_agree_exhaustive():
     for m_size in (1, 2, 3):
         for g in (1, 2):
+            cr = MatrixCrystal(m_size, g)
             for mat in enumerate_admissible(m_size, g):
                 for i in range(1, m_size):
-                    assert matrix_raise(mat, i, g) == matrix_raise_surgery(mat, i)
-                    assert matrix_lower(mat, i, g) == matrix_lower_surgery(mat, i)
+                    assert cr.e(mat, i) == matrix_raise_surgery(mat, i)
+                    assert cr.f(mat, i) == matrix_lower_surgery(mat, i)
 
 
 def test_matrix_ops_preserve_admissible_and_symmetry():
+    cr = MatrixCrystal(3, 2)
     for mat in enumerate_admissible(3, 2):
         for i in range(3):
-            for out in (matrix_raise(mat, i, 2), matrix_lower(mat, i, 2)):
+            for out in (cr.e(mat, i), cr.f(mat, i)):
                 if out is not None:
                     assert out == tuple(zip(*out))
                     assert all(out[k][k] % 2 == 0 for k in range(3))
@@ -488,7 +490,7 @@ def test_phi_equivariance_exhaustive(m, g):
                 image = getattr(cr_s, side)(t, i)
                 image = None if image is None else phi_map(image)
                 assert image == getattr(cr_m, side)(mt, i)
-            assert ssot_stats(t, i, g) == matrix_stats(mt, i, g)
+            assert ssot_stats(t, i, g) == cr_m.stats(mt, i)
 
 
 @pytest.mark.parametrize("m,g", [(2, 1), (2, 2), (3, 1), (3, 2)])

@@ -6,14 +6,24 @@
   a private helper is used only in the module that owns it.
 * The one import inside a function is ``cli.suite_crystal``'s import of
   ``.oracles``, which keeps the reference routes off every CLI start.
+* Every library name the benchmark binds resolves: the functions and
+  methods ``perfbench/tracer.py`` wraps, the names ``perfbench/jobs.py`` and
+  ``perfbench/worker.py`` import, and the package's ``__all__``.  The
+  benchmark's files are not changed: the tracer is loaded by path and the
+  other two are read with ``ast``.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sympcrystal"
+import sympcrystal
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sympcrystal"
 
 
 def _imports(tree: ast.Module) -> list[tuple[str | None, int, str, list[str]]]:
@@ -102,3 +112,36 @@ def test_the_only_function_level_import_is_oracles_in_suite_crystal(imports):
         for func, level, module, _ in entries if func is not None
     )
     assert nested == [("cli", "suite_crystal", 1, "oracles")]
+
+
+def _lookup(module: str, name: str):
+    """The attribute or submodule ``name`` of the module ``module``, or None."""
+    owner = importlib.import_module(module)
+    if hasattr(owner, name):
+        return getattr(owner, name)
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return None
+
+
+def test_names_the_benchmark_binds_resolve():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = [(mod, fn) for mod, fns in tracer.FUNCTIONS.items() for fn in fns]
+    wrapped.append(tuple(tracer.STRIPS.split(".")))
+    missing = [f"{mod}.{fn}" for mod, fn in wrapped if _lookup(f"sympcrystal.{mod}", fn) is None]
+    for targets in tracer.METHODS.values():
+        for mod, cls, attr in targets:
+            owner = _lookup(f"sympcrystal.{mod}", cls)
+            if owner is None or attr not in vars(owner):
+                missing.append(f"{mod}.{cls}.{attr}")
+    for script in ("jobs.py", "worker.py"):
+        tree = ast.parse((ROOT / "perfbench" / script).read_text())
+        missing += [f"{script}: {node.module}.{alias.name}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sympcrystal")
+                    for alias in node.names if _lookup(node.module, alias.name) is None]
+    missing += [name for name in sympcrystal.__all__ if not hasattr(sympcrystal, name)]
+    assert missing == []

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from sympcrystal.bijections import _pop_largest
 from sympcrystal.oracles import (
-    column_insert_word,
     complemented_row_pairs,
     longest_weakly_decreasing,
     matrices_with_sum,
@@ -17,6 +16,7 @@ from sympcrystal.oracles import (
 from sympcrystal.rsk import (
     bump,
     c_index,
+    column_insert_word,
     enumerate_admissible,
     format_matrix,
     is_admissible,
