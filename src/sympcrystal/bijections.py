@@ -21,7 +21,6 @@ from .rsk import (
     Matrix,
     bump,
     is_admissible,
-    matrix,
     row_sums,
     two_line_array,
     unbump,
@@ -145,36 +144,46 @@ def phi(t: SSOT) -> Matrix:
     grid = [[0] * t.length for _ in range(t.length)]
     for q in range(1, len(word) + 1):
         grid[block[q - 1]][block[mate[q] - 1]] += 1
-    return matrix(grid)
+    # square, of counts: a matrix without the validating pass of rsk.matrix
+    return tuple(map(tuple, grid))
 
 
 def phi_inverse(m: Matrix) -> SSOT:
     """Oscillating tableau whose standardized chain unwinds to ``m``."""
     if not is_admissible(m):
-        raise ValueError("matrix must be symmetric with even diagonal")
+        raise ValueError("matrix must be nonnegative and symmetric with even diagonal")
     alpha = row_sums(m)
     total = sum(alpha)
     word = standardized_word(m)
     w = {q: word[q - 1] for q in range(1, total + 1)}
     if any(w[w[q]] != q or w[q] == q for q in w):
         raise ValueError("standardization is not a fixed-point-free involution")
-    # walk the recording tableau down from the empty end; step k of the
-    # chain removes the box an insertion made and adds the box a deletion took
+    # walk the recording tableau down from the empty end, one strip at a
+    # time from the last; step k of the chain removes the box an insertion
+    # made and adds the box a deletion took
     rows: list[list[int]] = []
     letters = [0] * total
-    for k in range(total, 0, -1):
-        if k > w[k]:
-            letters[k - 1] = -(bump(rows, w[k], True)[0] + 1)
-            continue
-        # k is in the tableau: step w[k] > k inserted it
-        largest, r, _ = _pop_largest(rows)
-        if largest != k:
-            raise ValueError("deletion is not the largest entry")
-        letters[k - 1] = r + 1
+    strips: list[OscStrip] = []
+    outside: Partition = ()
+    for beta, a in reversed(list(zip(accumulate(alpha, initial=0), alpha))):
+        star = None
+        for k in range(beta + a, beta, -1):
+            if k > w[k]:
+                letters[k - 1] = -(bump(rows, w[k], True)[0] + 1)
+                continue
+            # k is in the tableau: step w[k] > k inserted it; the first such
+            # step met is the strip's last addition, which ends at its peak
+            if star is None:
+                star = tuple(map(len, rows))
+            largest, r, _ = _pop_largest(rows)
+            if largest != k:
+                raise ValueError("deletion is not the largest entry")
+            letters[k - 1] = r + 1
+        inside = tuple(map(len, rows))
+        word = tuple(letters[beta : beta + a])
+        peak = inside if star is None else star
+        strips.append(OscStrip._from_trusted(inside, word, peak, outside))
+        outside = inside
     if rows:
         raise ValueError("chain does not return to the empty shape")
-    strips: list[OscStrip] = []
-    for beta, a in zip(accumulate(alpha, initial=0), alpha):
-        inside = strips[-1].outside if strips else ()
-        strips.append(OscStrip(inside, tuple(letters[beta : beta + a])))
-    return SSOT(tuple(strips))
+    return SSOT(tuple(reversed(strips)))

@@ -146,7 +146,7 @@ def _checked_insertion(m: Matrix, i: int, g: int) -> Tableau | None:
     i >= 1 (an admissible matrix has ``Q = P``), None at index 0 (which
     inserts nothing)."""
     if not is_admissible(m):
-        raise ValueError("matrix must be symmetric with even diagonal")
+        raise ValueError("matrix must be nonnegative and symmetric with even diagonal")
     if not 0 <= i <= len(m) - 1:
         raise ValueError(f"index {i} out of range for a {len(m)}-row matrix")
     if i == 0:

@@ -54,10 +54,28 @@ def _box_step(rows: list[int], s: int) -> None:
 
 @dataclass(frozen=True)
 class OscStrip:
+    """One oscillating horizontal strip: ``inside`` and its signed word.
+
+    ``OscStrip(inside, word)`` checks the word and replays it to find
+    ``star`` and ``outside``.  :meth:`_from_trusted` checks and replays
+    nothing: it is for a strip whose shapes its builder has just walked
+    through, with ``inside`` a partition, ``word`` a weakly decreasing tuple
+    of nonzero ints, and ``star`` and ``outside`` the shapes that replaying
+    the word from ``inside`` reaches.
+    """
+
     inside: Partition
     word: tuple[int, ...]
     star: Partition = field(init=False, compare=False, repr=False)  # the peak
     outside: Partition = field(init=False, compare=False, repr=False)
+
+    @classmethod
+    def _from_trusted(
+        cls, inside: Partition, word: tuple[int, ...], star: Partition, outside: Partition
+    ) -> "OscStrip":
+        strip = object.__new__(cls)
+        strip.__dict__.update(inside=inside, word=word, star=star, outside=outside)
+        return strip
 
     def __post_init__(self):
         object.__setattr__(self, "inside", normalize_partition(self.inside))

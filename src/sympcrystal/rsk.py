@@ -55,10 +55,11 @@ def is_symmetric(m: Matrix) -> bool:
 
 
 def is_admissible(m: Matrix) -> bool:
-    """Square, symmetric, with every diagonal entry even."""
+    """Square, symmetric, nonnegative, with every diagonal entry even."""
     return (
         all(len(r) == len(m) for r in m)
         and is_symmetric(m)
+        and all(min(r) >= 0 for r in m)
         and all(m[i][i] % 2 == 0 for i in range(len(m)))
     )
 
@@ -149,14 +150,18 @@ def _cols_of(t: Tableau) -> list[list[int]]:
 
 
 def _tableau_from_cols(cols: list[list[int]]) -> Tableau:
+    """The tableau of columns that column insertion of positive letters has
+    just built, so semistandard by construction and not checked again."""
     rows = []
+    shape = []
     k = len(cols)
     for r in range(len(cols[0]) if cols else 0):
         # column lengths weakly decrease: row r reads the first k columns
         while len(cols[k - 1]) <= r:
             k -= 1
         rows.append(tuple([col[r] for col in cols[:k]]))
-    return Tableau(tuple(rows))
+        shape.append(k)
+    return Tableau._from_trusted(tuple(rows), tuple(shape))
 
 
 def bump(lines: list[list[int]], x: int, strict: bool) -> tuple[int, int]:
@@ -203,9 +208,12 @@ def unbump(lines: list[list[int]], k: int, strict: bool) -> int:
 
 
 def column_insert_word(word: Iterable[int]) -> Tableau:
-    """Column-insert a word letter by letter, starting from the empty tableau."""
+    """Column-insert a word letter by letter, starting from the empty tableau;
+    ValueError on a letter below 1."""
     cols: list[list[int]] = []
     for x in word:
+        if x < 1:
+            raise ValueError(f"nonpositive entry {x} in word")
         bump(cols, x, False)
     return _tableau_from_cols(cols)
 
@@ -214,19 +222,26 @@ def rsk_column(m: Matrix) -> tuple[Tableau, Tableau]:
     """The pair ``(P, Q)``: insert the bottom line, recording where each new box lands.
 
     The cells are walked in two-line-array order: row ``i`` ascending, column
-    ``j`` descending, ``M[i][j]`` copies of each.
+    ``j`` descending, ``M[i][j]`` copies of each; ValueError on a negative
+    entry.  A block of equal ``i`` inserts a weakly decreasing run, whose new
+    boxes lie in distinct columns (the column bumping lemma), so Q is
+    semistandard of P's shape and is not checked again.
     """
     cols: list[list[int]] = []
     q_rows: list[list[int]] = []
     for i, row in enumerate(m, start=1):
         for j in range(len(row), 0, -1):
-            for _ in range(row[j - 1]):
+            n = row[j - 1]
+            if n < 0:
+                raise ValueError(f"negative entry {n} at ({i}, {j})")
+            for _ in range(n):
                 _, r = bump(cols, j, False)
                 if r == len(q_rows):
                     q_rows.append([i])
                 else:
                     q_rows[r].append(i)
-    return _tableau_from_cols(cols), Tableau(tuple(map(tuple, q_rows)))
+    p = _tableau_from_cols(cols)
+    return p, Tableau._from_trusted(tuple(map(tuple, q_rows)), p.shape)
 
 
 def rsk_column_inverse(
@@ -252,11 +267,14 @@ def rsk_column_inverse(
 
 
 def c_index(m: Matrix) -> int:
-    """Number of columns of ``P(m)``."""
+    """Number of columns of ``P(m)``; ValueError on a negative entry."""
     cols: list[list[int]] = []
-    for row in m:
+    for i, row in enumerate(m, start=1):
         for j in range(len(row), 0, -1):
-            for _ in range(row[j - 1]):
+            n = row[j - 1]
+            if n < 0:
+                raise ValueError(f"negative entry {n} at ({i}, {j})")
+            for _ in range(n):
                 bump(cols, j, False)
     return len(cols)
 

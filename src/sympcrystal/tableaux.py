@@ -218,10 +218,21 @@ class Tableau:
 
     ``shape`` is derived from the rows once, at construction; it takes no
     part in equality, hashing or ``repr``.
+
+    ``Tableau(rows)`` checks every condition.  :meth:`_from_trusted` checks
+    none: it is for a tableau just built by Schensted insertion from
+    positive letters, whose rows are already semistandard tuples and whose
+    ``shape`` is their lengths.
     """
 
     rows: tuple[tuple[int, ...], ...]
     shape: Partition = field(init=False, compare=False, repr=False)
+
+    @classmethod
+    def _from_trusted(cls, rows: tuple[tuple[int, ...], ...], shape: Partition) -> "Tableau":
+        t = object.__new__(cls)
+        t.__dict__.update(rows=rows, shape=shape)  # past the frozen __setattr__
+        return t
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))

@@ -338,6 +338,12 @@ def test_criterion_08_product_formula():
     )
 
 
+def _semistandard(t: Tableau) -> bool:
+    """``rsk_column`` builds P and Q without ``Tableau``'s checks; rebuild
+    them through it, which raises unless they are semistandard."""
+    return Tableau(t.rows).shape == t.shape
+
+
 def test_criterion_09_insertion_properties():
     started = time.monotonic()
     count = 0
@@ -345,6 +351,7 @@ def test_criterion_09_insertion_properties():
         for ncols in (1, 2, 3, 4):
             for mt in matrices_with_sum(nrows, ncols, 8):
                 p, q = rsk_column(mt)
+                assert _semistandard(p) and _semistandard(q)
                 assert rsk_column_inverse(p, q, nrows, ncols) == mt
                 bottom = two_line_array(mt)[1]
                 first_row = p.shape[0] if p.shape else 0
@@ -359,10 +366,9 @@ def test_criterion_09_insertion_properties():
     for nrows in (1, 2, 3, 4):
         for ncols in (1, 2, 3, 4):
             for mt in matrices_with_sum(nrows, ncols, 6):
-                assert (
-                    rsk_row(complemented_row_pairs(mt))[1]
-                    == rsk_column(rotate180(mt))[1]
-                )
+                p, q = rsk_column(rotate180(mt))
+                assert _semistandard(p) and _semistandard(q)
+                assert rsk_row(complemented_row_pairs(mt))[1] == q
                 rotations += 1
     report(
         9,

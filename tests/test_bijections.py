@@ -128,6 +128,24 @@ def test_phi_rejects_bad_input():
         phi_inverse(matrix([[0, 1], [0, 0]]))  # not symmetric
     with pytest.raises(ValueError):
         phi_inverse(matrix([[1]]))  # odd diagonal
+    with pytest.raises(ValueError, match="nonnegative"):
+        phi_inverse(((0, -1), (-1, 0)))  # symmetric, even diagonal, negative
+
+
+@pytest.mark.parametrize(
+    "m, g", [(m, g) for m in (1, 2, 3, 4) for g in (1, 2)] + [(3, 3)]
+)
+def test_phi_inverse_strips_equal_validated_ones(m, g):
+    """``phi_inverse`` builds its strips from the shapes its walk passes,
+    without replaying them; replaying each through ``OscStrip`` reaches the
+    same peak and outside, and ``phi`` returns the matrix unchanged."""
+    for mat in enumerate_admissible(m, g):
+        t = phi_inverse(mat)
+        for s in t.strips:
+            checked = OscStrip(s.inside, s.word)
+            assert (checked.star, checked.outside) == (s.star, s.outside)
+        back = phi(t)
+        assert matrix(back) == back == mat
 
 
 def test_phi_bijection_small():

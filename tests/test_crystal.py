@@ -368,6 +368,7 @@ def test_matrix_rejects_wide_input():
         matrix([[1, 0], [0, 0]]),  # odd diagonal
         matrix([[0, 1], [0, 0]]),  # not symmetric
         matrix([[1, 0, 0], [0, 0, 0]]),  # not square
+        ((0, 1), (1, -2)),  # negative entry, which matrix() would refuse
     ],
 )
 def test_matrix_ops_reject_non_admissible(bad):

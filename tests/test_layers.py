@@ -4,6 +4,10 @@
   included, form no cycle: each module sits above the ones it imports.
 * No module but ``oracles`` imports a ``_``-prefixed name from a sibling;
   a private helper is used only in the module that owns it.
+* ``Tableau._from_trusted`` and ``OscStrip._from_trusted``, which skip
+  their class's checks, are called only from ``rsk`` and ``bijections``,
+  whose differential tests rebuild every such object through the checking
+  constructor.  A new caller comes with its own differential test.
 * The one import inside a function is ``cli.suite_crystal``'s import of
   ``.oracles``, which keeps the reference routes off every CLI start.
 * Every library name the benchmark binds resolves: the functions and
@@ -112,6 +116,19 @@ def test_the_only_function_level_import_is_oracles_in_suite_crystal(imports):
         for func, level, module, _ in entries if func is not None
     )
     assert nested == [("cli", "suite_crystal", 1, "oracles")]
+
+
+def test_trusted_constructors_are_called_only_from_insertion():
+    callers = {
+        (p.stem, ast.unparse(node.value))
+        for p in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text(), str(p)))
+        if isinstance(node, ast.Attribute) and node.attr == "_from_trusted"
+    }
+    assert callers == {
+        ("bijections", "OscStrip"),
+        ("rsk", "Tableau"),
+    }
 
 
 def _lookup(module: str, name: str):

@@ -52,6 +52,7 @@ def test_matrix_helpers():
     assert is_symmetric(M_BIG)
     assert is_admissible(M_BIG)
     assert not is_admissible(((1,),))  # odd diagonal
+    assert not is_admissible(((0, 1), (1, -2)))  # symmetric, even, negative
     with pytest.raises(ValueError):
         matrix([[1, 2], [3]])
     with pytest.raises(ValueError):
@@ -92,6 +93,9 @@ def test_column_insert_steps():
     assert t.rows == ((1, 2, 4), (2, 3))
     assert column_insert_word((4, 2, 3, 1, 2, 1)).rows == ((1, 1, 2, 4), (2, 3))
     assert column_insert_word(()) == Tableau(())
+    for word in ((2, 0, 1), (-1,), (3, 1, -2)):
+        with pytest.raises(ValueError, match="nonpositive entry"):
+            column_insert_word(word)
 
 
 def test_recorded_matches_transpose_definition():
@@ -301,6 +305,32 @@ def test_enumerate_admissible_counts():
     assert ((0, 1), (1, 0)) in mats
     assert ((2, 0), (0, 2)) in mats
     assert all(is_admissible(m) and c_index(m) <= 2 for m in mats)
+
+
+# ---------------------------------------------------------------------------
+# negative entries, and the tableaux built without a second check
+
+
+def test_insertion_rejects_negative_entries():
+    bad = ((1, -1), (0, 2))
+    with pytest.raises(ValueError, match="negative entry -1 at"):
+        rsk_column(bad)
+    with pytest.raises(ValueError, match="negative entry -1 at"):
+        c_index(bad)
+
+
+def test_insertion_tableaux_equal_validated_ones_exhaustive():
+    """P and Q skip ``Tableau``'s checks; rebuilding them through it gives
+    the same rows and shape for every matrix up to 4x4 of entry sum <= 5."""
+    count = 0
+    for nrows in (1, 2, 3, 4):
+        for ncols in (1, 2, 3, 4):
+            for m in matrices_with_sum(nrows, ncols, 5):
+                for t in (*rsk_column(m), column_insert_word(two_line_array(m)[1])):
+                    checked = Tableau(t.rows)
+                    assert checked == t and checked.shape == t.shape
+                count += 1
+    assert count == 38_763
 
 
 if __name__ == "__main__":
