@@ -154,9 +154,8 @@ def phi_inverse(m: Matrix) -> SSOT:
         raise ValueError("matrix must be nonnegative and symmetric with even diagonal")
     alpha = row_sums(m)
     total = sum(alpha)
-    word = standardized_word(m)
-    w = {q: word[q - 1] for q in range(1, total + 1)}
-    if any(w[w[q]] != q or w[q] == q for q in w):
+    w = standardized_word(m)
+    if any(w[v - 1] != q or v == q for q, v in enumerate(w, start=1)):
         raise ValueError("standardization is not a fixed-point-free involution")
     # walk the recording tableau down from the empty end, one strip at a
     # time from the last; step k of the chain removes the box an insertion
@@ -168,10 +167,10 @@ def phi_inverse(m: Matrix) -> SSOT:
     for beta, a in reversed(list(zip(accumulate(alpha, initial=0), alpha))):
         star = None
         for k in range(beta + a, beta, -1):
-            if k > w[k]:
-                letters[k - 1] = -(bump(rows, w[k], True)[0] + 1)
+            if k > w[k - 1]:
+                letters[k - 1] = -(bump(rows, w[k - 1], True)[0] + 1)
                 continue
-            # k is in the tableau: step w[k] > k inserted it; the first such
+            # k is in the tableau: step w[k - 1] > k inserted it; the first such
             # step met is the strip's last addition, which ends at its peak
             if star is None:
                 star = tuple(map(len, rows))

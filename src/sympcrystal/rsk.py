@@ -4,7 +4,9 @@ correspondence.
 A matrix here is a tuple of equal-length tuples of nonnegative ints.  The
 two-line array of a matrix lists each cell ``(i, j)`` with multiplicity
 ``M[i][j]``, ordered so the top line weakly increases and, within a block of
-equal top entries, the bottom line weakly decreases.
+equal top entries, the bottom line weakly decreases.  :func:`two_line_array`
+is this module's one walk over a matrix's cells and refuses a negative entry;
+:func:`rsk_column` and :func:`c_index` read the array it returns.
 
 :func:`bump` is Schensted's bump on ascending lines: row insertion bumps the
 leftmost entry strictly larger than ``x`` out of a row into the next row,
@@ -112,14 +114,19 @@ def symmetric_even_diagonal(n: int, max_row_sum: int) -> Iterator[Matrix]:
 
 
 def two_line_array(m: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Top line weakly increasing, bottom weakly decreasing within each block."""
+    """Cell ``(i, j)`` ``M[i][j]`` times, ``i`` ascending and ``j`` descending;
+    ValueError on a negative entry."""
     top: list[int] = []
     bottom: list[int] = []
     for i, row in enumerate(m, start=1):
-        for j in range(len(row), 0, -1):
-            mult = row[j - 1]
-            top.extend([i] * mult)
-            bottom.extend([j] * mult)
+        j = len(row)
+        for n in reversed(row):
+            if n > 0:
+                top += [i] * n
+                bottom += [j] * n
+            elif n:
+                raise ValueError(f"negative entry {n} at ({i}, {j})")
+            j -= 1
     return tuple(top), tuple(bottom)
 
 
@@ -207,39 +214,38 @@ def unbump(lines: list[list[int]], k: int, strict: bool) -> int:
     return x
 
 
-def column_insert_word(word: Iterable[int]) -> Tableau:
-    """Column-insert a word letter by letter, starting from the empty tableau;
-    ValueError on a letter below 1."""
+def _column_insert(word: Iterable[int]) -> list[list[int]]:
+    """Columns of the tableau a word inserts; ValueError on a letter below 1."""
     cols: list[list[int]] = []
     for x in word:
         if x < 1:
             raise ValueError(f"nonpositive entry {x} in word")
         bump(cols, x, False)
-    return _tableau_from_cols(cols)
+    return cols
+
+
+def column_insert_word(word: Iterable[int]) -> Tableau:
+    """Column-insert a word, starting from the empty tableau."""
+    return _tableau_from_cols(_column_insert(word))
 
 
 def rsk_column(m: Matrix) -> tuple[Tableau, Tableau]:
     """The pair ``(P, Q)``: insert the bottom line, recording where each new box lands.
 
-    The cells are walked in two-line-array order: row ``i`` ascending, column
-    ``j`` descending, ``M[i][j]`` copies of each; ValueError on a negative
-    entry.  A block of equal ``i`` inserts a weakly decreasing run, whose new
-    boxes lie in distinct columns (the column bumping lemma), so Q is
-    semistandard of P's shape and is not checked again.
+    The pairs are read from :func:`two_line_array`, the one cell walk, which
+    raises ValueError on a negative entry.  A block of equal ``i`` inserts a
+    weakly decreasing run, whose new boxes lie in distinct columns (the
+    column bumping lemma), so Q is semistandard of P's shape and is not
+    checked again.
     """
     cols: list[list[int]] = []
     q_rows: list[list[int]] = []
-    for i, row in enumerate(m, start=1):
-        for j in range(len(row), 0, -1):
-            n = row[j - 1]
-            if n < 0:
-                raise ValueError(f"negative entry {n} at ({i}, {j})")
-            for _ in range(n):
-                _, r = bump(cols, j, False)
-                if r == len(q_rows):
-                    q_rows.append([i])
-                else:
-                    q_rows[r].append(i)
+    for i, j in zip(*two_line_array(m)):
+        _, r = bump(cols, j, False)
+        if r == len(q_rows):
+            q_rows.append([i])
+        else:
+            q_rows[r].append(i)
     p = _tableau_from_cols(cols)
     return p, Tableau._from_trusted(tuple(map(tuple, q_rows)), p.shape)
 
@@ -267,16 +273,9 @@ def rsk_column_inverse(
 
 
 def c_index(m: Matrix) -> int:
-    """Number of columns of ``P(m)``; ValueError on a negative entry."""
-    cols: list[list[int]] = []
-    for i, row in enumerate(m, start=1):
-        for j in range(len(row), 0, -1):
-            n = row[j - 1]
-            if n < 0:
-                raise ValueError(f"negative entry {n} at ({i}, {j})")
-            for _ in range(n):
-                bump(cols, j, False)
-    return len(cols)
+    """Number of columns of ``P(m)``, inserted from :func:`two_line_array`,
+    the one cell walk, which raises ValueError on a negative entry."""
+    return len(_column_insert(two_line_array(m)[1]))
 
 
 def enumerate_admissible(m: int, g: int) -> list[Matrix]:

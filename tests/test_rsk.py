@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympcrystal.bijections import _pop_largest
+from sympcrystal.bijections import _pop_largest, standardized_word
 from sympcrystal.oracles import (
     complemented_row_pairs,
     longest_weakly_decreasing,
@@ -312,11 +312,55 @@ def test_enumerate_admissible_counts():
 
 
 def test_insertion_rejects_negative_entries():
-    bad = ((1, -1), (0, 2))
-    with pytest.raises(ValueError, match="negative entry -1 at"):
-        rsk_column(bad)
-    with pytest.raises(ValueError, match="negative entry -1 at"):
-        c_index(bad)
+    for route in (rsk_column, c_index, two_line_array, standardized_word):
+        with pytest.raises(ValueError, match=r"negative entry -1 at \(1, 2\)"):
+            route(((1, -1), (0, 2)))
+
+
+def _reference_two_line_array(m):
+    """``two_line_array`` as it read with one ``extend`` pair per cell."""
+    top, bottom = [], []
+    for i, row in enumerate(m, start=1):
+        for j in range(len(row), 0, -1):
+            mult = row[j - 1]
+            top.extend([i] * mult)
+            bottom.extend([j] * mult)
+    return tuple(top), tuple(bottom)
+
+
+def _reference_insertion(m):
+    """``rsk_column`` as it read with its own cell walk: the columns of P,
+    the rows of Q, and so ``c_index`` as the number of columns."""
+    cols, q_rows = [], []
+    for i, row in enumerate(m, start=1):
+        for j in range(len(row), 0, -1):
+            for _ in range(row[j - 1]):
+                _, r = bump(cols, j, False)
+                if r == len(q_rows):
+                    q_rows.append([i])
+                else:
+                    q_rows[r].append(i)
+    p_rows = [
+        tuple(col[r] for col in cols if len(col) > r)
+        for r in range(len(cols[0]) if cols else 0)
+    ]
+    return tuple(p_rows), tuple(map(tuple, q_rows)), len(cols)
+
+
+def test_cell_walks_match_nested_loop_references_exhaustive():
+    """The walks read from ``two_line_array`` equal the nested cell loops they
+    replaced on every matrix up to 4x4 of entry sum <= 5, on the empty
+    matrix and on an all-zero one."""
+    corpus = [(), ((0, 0), (0, 0), (0, 0))]
+    for nrows in (1, 2, 3, 4):
+        for ncols in (1, 2, 3, 4):
+            corpus += matrices_with_sum(nrows, ncols, 5)
+    assert len(corpus) == 2 + 38_763
+    for m in corpus:
+        assert two_line_array(m) == _reference_two_line_array(m)
+        p, q = rsk_column(m)
+        p_rows, q_rows, width = _reference_insertion(m)
+        assert (p.rows, q.rows, c_index(m)) == (p_rows, q_rows, width)
 
 
 def test_insertion_tableaux_equal_validated_ones_exhaustive():
