@@ -1,31 +1,21 @@
-"""Raising/lowering operators on the three models, plus graph machinery.
+"""The crystal objects of the three models, plus graph machinery.
 
 Index 0 is the long-root direction: it touches only the first strip of an
 oscillating tableau (equivalently the top-left matrix entry).  Indices
-1..m-1 form a type-A chain and act through the bracket (signature) rule on
-ascending lists of signed rows at the junction of two consecutive strips;
-those lists and the statistics read off them come from
-:mod:`sympcrystal.oscillating`.
-Each model's raise and lower are the two sides of one body (side 0 raises,
-side 1 lowers), reached through the model's crystal object; the type-A
-tableau crystal the matrix model is built from keeps its ``ssyt_*`` functions.
+1..m-1 form a type-A chain.  Each model's raise and lower are the two sides
+of one body (side 0 raises, side 1 lowers), reached through the model's
+crystal object.  The oscillating body and its statistics are
+:func:`sympcrystal.oscillating.ssot_move` and ``ssot_stats``, which the King
+model reaches through ``psi``; the matrix body is here, built on the type-A
+tableau crystal and its ``ssyt_*`` functions.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .oscillating import (
-    SSOT,
-    OscStrip,
-    first_strip_counts,
-    pair_multisets,
-    shift_overlap,
-    ssot_stats,
-    strip_pair_multisets,
-)
+from .oscillating import SSOT, ssot_move, ssot_stats
 from .rsk import (
     Matrix,
     c_index,
@@ -99,45 +89,6 @@ def ssyt_stats(t: Tableau, i: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# operators on oscillating tableaux
-
-
-def _rebuild_junction(t: SSOT, i: int, c: list[int], d: list[int]) -> SSOT:
-    """Strips i, i+1 recovered from modified junction lists."""
-    k, n = bisect_left(c, 0), bisect_left(d, 0)
-    bar_removes = [-r for r in reversed(c[:k])]
-    bar_adds = d[n:]
-    removes_lo = shift_overlap(bar_removes, bar_adds, -1)
-    lo = OscStrip(t.strips[i - 1].inside, c[k:][::-1] + [-r for r in removes_lo])
-    adds_hi = shift_overlap(bar_adds, bar_removes, -1)
-    hi = OscStrip(lo.outside, adds_hi[::-1] + d[:n][::-1])
-    if hi.outside != t.strips[i].outside:
-        raise ValueError("junction surgery changed the outer shape")
-    return t.replace(i - 1, lo, hi)
-
-
-def _ssot_move(t: SSOT, i: int, g: int, k: int) -> SSOT | None:
-    """Side 0 raises, side 1 lowers.  At index 0 a side deletes or appends a
-    (1,-1) pair in the first strip until its statistic is 0 (eps counts the
-    first strip's removals, phi is g minus its additions); at i >= 1 it moves
-    the largest (side 0) or smallest (side 1) unpaired junction element."""
-    if i == 0:
-        a, b = first_strip_counts(t)
-        if (b, g - a)[k] <= 0:
-            return None
-        s = (-1, 1)[k]
-        return t.replace(0, OscStrip((), (1,) * (a + s) + (-1,) * (b + s)))
-    lists = strip_pair_multisets(t, i)
-    unpaired = pair_multisets(*lists)[1 - k]
-    if not unpaired:
-        return None
-    q = unpaired[k - 1]  # the largest d on side 0, the smallest c on side 1
-    lists[1 - k].remove(q)
-    insort(lists[k], q)
-    return _rebuild_junction(t, i, *lists)
-
-
-# ---------------------------------------------------------------------------
 # operators on nonnegative-integer matrices
 
 
@@ -196,10 +147,10 @@ class SsotCrystal(_Adapter):
     """Oscillating tableaux with m strips, peaks at most g columns wide."""
 
     def e(self, x: SSOT, i: int) -> SSOT | None:
-        return _ssot_move(x, i, self.g, 0)
+        return ssot_move(x, i, self.g, 0)
 
     def f(self, x: SSOT, i: int) -> SSOT | None:
-        return _ssot_move(x, i, self.g, 1)
+        return ssot_move(x, i, self.g, 1)
 
     def stats(self, x: SSOT, i: int) -> tuple[int, int]:
         return ssot_stats(x, i, self.g)
@@ -234,7 +185,7 @@ class KingCrystal(_Adapter):
     carried over from the oscillating model."""
 
     def _carry(self, x: KingTableau, i: int, k: int) -> KingTableau | None:
-        out = _ssot_move(psi(x, self.m, self.g), i, self.g, k)
+        out = ssot_move(psi(x, self.m, self.g), i, self.g, k)
         return None if out is None else psi_inverse(out, self.g)
 
     def e(self, x: KingTableau, i: int) -> KingTableau | None:

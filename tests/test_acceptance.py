@@ -33,10 +33,8 @@ from sympcrystal.crystal import (
     SsotCrystal,
     axiom_violations,
     crystal_graph,
-    pair_multisets,
     ssot_stats,
     stembridge_violations,
-    strip_pair_multisets,
 )
 from sympcrystal.oracles import (
     complemented_row_pairs,
@@ -47,7 +45,14 @@ from sympcrystal.oracles import (
     rsk_row,
     trace_tables,
 )
-from sympcrystal.oscillating import SSOT, OscStrip, enumerate_ssot, ssot_from_text
+from sympcrystal.oscillating import (
+    SSOT,
+    OscStrip,
+    enumerate_ssot,
+    pair_multisets,
+    ssot_from_text,
+    strip_pair_multisets,
+)
 from sympcrystal.rsk import (
     c_index,
     enumerate_admissible,

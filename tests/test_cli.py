@@ -159,6 +159,15 @@ def test_apply_refuses_a_chain_wider_than_g(capsys, monkeypatch):
     assert (code, out) == (0, "(1 1 1b 1b)(1 1 1b)(2 1 2b)(2 1)\n")
 
 
+def test_apply_refuses_a_wide_chain_at_a_junction_index(capsys, monkeypatch):
+    # the crystal refuses the chain at every index, not only at index 0
+    code, out, err = run_with_stdin(
+        capsys, monkeypatch, "(1 1 1b)(1b)",
+        "crystal", "apply", "--op", "raise", "--index", "1", "--g", "1",
+    )
+    assert (code, out, err) == (3, "", "invalid input: a peak shape needs more than 1 columns\n")
+
+
 def test_apply_skew_inside_flag(capsys, monkeypatch):
     code, out, _ = run_with_stdin(
         capsys, monkeypatch, "(1)(1b)",

@@ -20,14 +20,11 @@ from sympcrystal.crystal import (
     decompose,
     graph_to_adjacency,
     graph_to_dot,
-    pair_multisets,
-    shift_overlap,
     ssot_stats,
     ssyt_lower,
     ssyt_raise,
     ssyt_stats,
     stembridge_violations,
-    strip_pair_multisets,
 )
 from sympcrystal.oracles import (
     locality_mask,
@@ -36,7 +33,16 @@ from sympcrystal.oracles import (
     strip_additions,
     strip_removals,
 )
-from sympcrystal.oscillating import SSOT, OscStrip, enumerate_ssot, ssot_from_text
+from sympcrystal.oscillating import (
+    SSOT,
+    OscStrip,
+    _rebuild_junction,
+    enumerate_ssot,
+    pair_multisets,
+    shift_overlap,
+    ssot_from_text,
+    strip_pair_multisets,
+)
 from sympcrystal.rsk import enumerate_admissible, matrix
 from sympcrystal.tableaux import (
     Tableau,
@@ -239,6 +245,28 @@ def test_junction_lists_match_counter_route(m, g):
             assert ssot_stats(t, i, g) == _ref_junction_op(t, i, "stats")
             assert cr.e(t, i) == _ref_junction_op(t, i, "raise")
             assert cr.f(t, i) == _ref_junction_op(t, i, "lower")
+
+
+@pytest.mark.parametrize("m,g", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_junction_rebuild_reads_back_the_unmoved_lists(m, g):
+    # the decoder inverts the encoder on every junction, not only on e and f's outputs
+    for t in enumerate_ssot(None, m, g):
+        for i in range(1, m):
+            assert _rebuild_junction(t, i, *strip_pair_multisets(t, i)) == t
+
+
+def test_crystals_refuse_a_chain_wider_than_g():
+    # (1 1 1b)(1b) peaks at (2,): two columns, one more than g = 1 allows
+    t = ssot_from_text("(1 1 1b)(1b)")
+    assert t.num_cols == 2
+    models = [(SsotCrystal(2, 1), t, "more than 1 columns"),
+              (MatrixCrystal(2, 1), phi_map(t), "more than 2g")]
+    for cr, x, message in models:
+        for i in (0, 1):
+            for call in (cr.e, cr.f, cr.stats):
+                with pytest.raises(ValueError, match=message):
+                    call(x, i)
+    assert SsotCrystal(2, 2).stats(t, 0) == (1, 0)
 
 
 def test_ssot_junction_ops_anchor():

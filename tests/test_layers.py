@@ -8,6 +8,9 @@
   their class's checks, are called only from ``rsk`` and ``bijections``,
   whose differential tests rebuild every such object through the checking
   constructor.  A new caller comes with its own differential test.
+* The SSOT junction codec stays in ``oscillating``: no module imports
+  ``shift_overlap``, ``strip_pair_multisets`` or ``first_strip_counts``,
+  and only ``oracles`` imports the bracket ``pair_multisets``.
 * The one import inside a function is ``cli.suite_crystal``'s import of
   ``.oracles``, which keeps the reference routes off every CLI start.
 * Every library name the benchmark binds resolves: the functions and
@@ -107,6 +110,17 @@ def test_only_oracles_imports_private_sibling_names(imports):
         for n in names if n.startswith("_")
     )
     assert crossing == []
+
+
+def test_the_junction_codec_is_imported_only_by_oracles(imports):
+    codec = {"shift_overlap", "strip_pair_multisets", "first_strip_counts", "pair_multisets"}
+    importers = sorted(
+        (name, f"{module}.{n}")
+        for name, entries in imports.items()
+        for _, level, module, names in entries if level == 1
+        for n in names if n in codec
+    )
+    assert importers == [("oracles", "oscillating.pair_multisets")]
 
 
 def test_the_only_function_level_import_is_oracles_in_suite_crystal(imports):
