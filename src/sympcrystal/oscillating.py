@@ -6,13 +6,13 @@ partition at every step, with both skew pieces horizontal strips.  It is
 stored as the inside shape plus the signed word of row indices: ``+r`` adds a
 box in row ``r``, ``-r`` removes one, and the word weakly decreases as signed
 ints — which makes it the unique such word for its (inside, peak, outside)
-triple.  Construction replays the word once on a list of row lengths, with
-an O(1) check per box step, and stores the peak (``star``) and ``outside``
-shapes it reaches; they take no part in equality, hashing or ``repr``.
-``from_partitions`` reads the word off the row differences, constructs the
-strip, and checks that it landed on the given peak and outside: a weakly
-decreasing word replays through partitions only when both of its pieces are
-horizontal strips, so no separate strip test is needed.
+triple.  Checked construction replays the word once on a list of row
+lengths, with an O(1) check per box step, and stores the peak (``star``)
+and ``outside`` shapes it reaches; they take no part in equality, hashing
+or ``repr``.  ``from_partitions`` reads the word off the row differences,
+constructs the strip, and checks that it landed on the given peak and
+outside: a weakly decreasing word replays through partitions only when both
+of its pieces are horizontal strips, so no separate strip test is needed.
 
 A semistandard oscillating tableau (SSOT) is a chain of these strips, each
 starting where the previous one ended.  Its crystal is here too, for peaks
@@ -20,7 +20,12 @@ at most g columns wide: :func:`ssot_stats` and :func:`ssot_move` (side 0
 raises, side 1 lowers).  Index 0 acts on the first strip, ``(1^a 1b^b)``
 from the empty shape.  Index i >= 1 brackets the signed rows at the junction
 of strips i and i+1, which :func:`strip_pair_multisets` writes and
-``_rebuild_junction`` reads back.  :mod:`sympcrystal.crystal` wraps them.
+``_rebuild_junction`` reads back.  Every operator output is built by one
+trusted helper, ``_trusted_strip``, which sums its addition and removal rows
+onto the inside's row lengths and replays nothing; only the outer shape of
+a junction is checked.  ``verify crystal`` keeps the safety net: an output
+that is not one of the enumerated chains fails its axiom rows.
+:mod:`sympcrystal.crystal` wraps the operators.
 """
 
 from __future__ import annotations
@@ -53,16 +58,18 @@ def _box_step(rows: list[int], s: int) -> None:
         rows.pop()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OscStrip:
     """One oscillating horizontal strip: ``inside`` and its signed word.
 
     ``OscStrip(inside, word)`` checks the word and replays it to find
     ``star`` and ``outside``.  :meth:`_from_trusted` checks and replays
-    nothing: it is for a strip whose shapes its builder has just walked
-    through, with ``inside`` a partition, ``word`` a weakly decreasing tuple
-    of nonzero ints, and ``star`` and ``outside`` the shapes that replaying
-    the word from ``inside`` reaches.
+    nothing: it is for a strip whose shapes its builder already knows, with
+    ``inside`` a partition, ``word`` a weakly decreasing tuple of nonzero
+    ints, and ``star`` and ``outside`` the shapes that replaying the word
+    from ``inside`` reaches.  Its callers are ``bijections.phi_inverse`` and
+    this module's operator outputs, each behind a differential test against
+    the checking constructor.
     """
 
     inside: Partition
@@ -75,7 +82,11 @@ class OscStrip:
         cls, inside: Partition, word: tuple[int, ...], star: Partition, outside: Partition
     ) -> "OscStrip":
         strip = object.__new__(cls)
-        strip.__dict__.update(inside=inside, word=word, star=star, outside=outside)
+        # past the frozen __setattr__, into the slots
+        object.__setattr__(strip, "inside", inside)
+        object.__setattr__(strip, "word", word)
+        object.__setattr__(strip, "star", star)
+        object.__setattr__(strip, "outside", outside)
         return strip
 
     def __post_init__(self):
@@ -260,16 +271,35 @@ def strip_pair_multisets(t: SSOT, i: int) -> tuple[list[int], list[int]]:
     return c, d
 
 
+def _trusted_strip(inside: Partition, adds: list[int], removes: list[int]) -> OscStrip:
+    """The strip from ``inside`` that adds a box in each row of ``adds``, then
+    removes one from each row of ``removes`` (both ascending), read straight
+    off the row lengths: no replay and no check, so the lists must make a
+    strip.  The one builder of operator outputs."""
+    rows = [*inside, 0]  # a strip opens at most one new row
+    for r in adds:
+        rows[r - 1] += 1
+    star = tuple(rows) if rows[-1] else tuple(rows[:-1])
+    for r in removes:
+        rows[r - 1] -= 1
+    while rows and not rows[-1]:
+        rows.pop()
+    word = (*reversed(adds), *[-r for r in removes])
+    return OscStrip._from_trusted(inside, word, star, tuple(rows))
+
+
 def _rebuild_junction(t: SSOT, i: int, c: list[int], d: list[int]) -> SSOT:
     """Strips i, i+1 read back from junction lists (:func:`strip_pair_multisets`,
     maybe moved): the shift is undone, and the outer shape must not change."""
     k, n = bisect_left(c, 0), bisect_left(d, 0)
     bar_removes = [-r for r in reversed(c[:k])]
     bar_adds = d[n:]
-    removes_lo = shift_overlap(bar_removes, bar_adds, -1)
-    lo = OscStrip(t.strips[i - 1].inside, c[k:][::-1] + [-r for r in removes_lo])
-    adds_hi = shift_overlap(bar_adds, bar_removes, -1)
-    hi = OscStrip(lo.outside, adds_hi[::-1] + d[:n][::-1])
+    lo = _trusted_strip(
+        t.strips[i - 1].inside, c[k:], shift_overlap(bar_removes, bar_adds, -1)
+    )
+    hi = _trusted_strip(
+        lo.outside, shift_overlap(bar_adds, bar_removes, -1), [-s for s in reversed(d[:n])]
+    )
     if hi.outside != t.strips[i].outside:
         raise ValueError("junction surgery changed the outer shape")
     return t.replace(i - 1, lo, hi)
@@ -316,7 +346,7 @@ def ssot_move(t: SSOT, i: int, g: int, k: int) -> SSOT | None:
         if (b, g - a)[k] <= 0:
             return None
         s = (-1, 1)[k]
-        return t.replace(0, OscStrip((), (1,) * (a + s) + (-1,) * (b + s)))
+        return t.replace(0, _trusted_strip((), [1] * (a + s), [1] * (b + s)))
     lists, left = _junction(t, i)
     unpaired = left[1 - k]
     if not unpaired:

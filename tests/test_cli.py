@@ -461,6 +461,42 @@ def test_verify_bijections_runs_psi_once_per_king_tableau(monkeypatch):
         assert calls.keys() == set(kings) and set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("bend", [
+    lambda shape: (*shape, 0, 1),  # not a partition
+    lambda shape: (*shape, 1),  # a partition, but not where the words lead
+], ids=["not_a_partition", "not_enumerated"])
+def test_verify_crystal_fails_a_decode_that_leaves_the_crystal(capsys, monkeypatch, bend):
+    # a broken decode that moves the junction shape of every chain it is given
+    # and keeps the outer shape; given such a twin, it returns the true output,
+    # so e and f still invert each other and only closure shows the break
+    real = oscillating._rebuild_junction
+
+    def broken(t, i, c, d):
+        out = real(t, i, c, d)
+        lo = t.strips[i - 1]
+        if lo.outside != oscillating.OscStrip(lo.inside, lo.word).outside:
+            return out  # t is a twin
+        lo, hi = out.strips[i - 1], out.strips[i]
+        shape = bend(lo.outside)
+        return out.replace(
+            i - 1,
+            oscillating.OscStrip._from_trusted(lo.inside, lo.word, lo.star, shape),
+            oscillating.OscStrip._from_trusted(shape, hi.word, hi.star, hi.outside),
+        )
+
+    monkeypatch.setattr(oscillating, "_rebuild_junction", broken)
+    corpus = enumerate_ssot(None, 2, 2)
+    table = crystal.OperatorTable(SsotCrystal(2, 2))
+    assert crystal.axiom_violations(table, corpus) == []
+    assert len(table.objects) > len(corpus)
+    rows = {name: (ok, detail) for _, name, ok, detail in cli.suite_crystal(2, 2)}
+    ok, detail = rows["axioms_oscillating"]
+    assert not ok and detail.startswith("operator output is not a vertex: ")
+    assert rows["axioms_matrix"][0]
+    assert main(["verify", "crystal", "--m", "2", "--g", "2"]) == 1
+    capsys.readouterr()
+
+
 def test_verify_all_smallest(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--m", "1", "--g", "1")
     assert code == 0
@@ -476,6 +512,13 @@ def test_verify_rejects_out_of_bounds(capsys):
         capsys, "verify", "conjecture", "--m", "2", "--max-size", "9"
     )
     assert code == 2 and "caps --max-size" in err
+
+
+def test_verify_runs_at_m_4_and_refuses_m_5(capsys):
+    code, out, _ = run_cli(capsys, "verify", "crystal", "--m", "4", "--g", "1")
+    assert code == 0 and out.splitlines()[-1].startswith("summary\tcrystal\tPASS")
+    code, out, err = run_cli(capsys, "verify", "crystal", "--m", "5", "--g", "1")
+    assert (code, out) == (2, "") and "m <= 4" in err
 
 
 def test_verify_checks_every_bound_before_any_suite(capsys, monkeypatch):

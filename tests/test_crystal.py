@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -253,6 +254,59 @@ def test_junction_rebuild_reads_back_the_unmoved_lists(m, g):
     for t in enumerate_ssot(None, m, g):
         for i in range(1, m):
             assert _rebuild_junction(t, i, *strip_pair_multisets(t, i)) == t
+
+
+def _checked_rebuild_junction(t: SSOT, i: int, c: list[int], d: list[int]) -> SSOT:
+    """The junction decode that replays both new strips through the checking
+    ``OscStrip``: the reference for the trusted one."""
+    k, n = bisect_left(c, 0), bisect_left(d, 0)
+    bar_removes = [-r for r in reversed(c[:k])]
+    bar_adds = d[n:]
+    removes_lo = shift_overlap(bar_removes, bar_adds, -1)
+    lo = OscStrip(t.strips[i - 1].inside, c[k:][::-1] + [-r for r in removes_lo])
+    adds_hi = shift_overlap(bar_adds, bar_removes, -1)
+    hi = OscStrip(lo.outside, adds_hi[::-1] + d[:n][::-1])
+    if hi.outside != t.strips[i].outside:
+        raise ValueError("junction surgery changed the outer shape")
+    return t.replace(i - 1, lo, hi)
+
+
+def _checked_move(t: SSOT, i: int, g: int, k: int) -> SSOT | None:
+    """Side k of index i (0 raises, 1 lowers), every new strip checked."""
+    if i == 0:
+        a = t.strips[0].word.count(1)
+        b = len(t.strips[0].word) - a
+        if (b, g - a)[k] <= 0:
+            return None
+        s = (-1, 1)[k]
+        return t.replace(0, OscStrip((), (1,) * (a + s) + (-1,) * (b + s)))
+    lists = list(strip_pair_multisets(t, i))
+    unpaired = pair_multisets(*lists)[1 - k]
+    if not unpaired:
+        return None
+    q = unpaired[k - 1]
+    lists[1 - k].remove(q)
+    insort(lists[k], q)
+    return _checked_rebuild_junction(t, i, *lists)
+
+
+@pytest.mark.parametrize("m,g", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_trusted_operator_outputs_match_the_checking_constructor(m, g):
+    cr = SsotCrystal(m, g)
+    moves = 0
+    for t in enumerate_ssot(None, m, g):
+        for i in range(m):
+            for k, op in enumerate((cr.e, cr.f)):
+                out = op(t, i)
+                assert out == _checked_move(t, i, g, k)
+                if out is None:
+                    continue
+                moves += 1
+                for s in out.strips:
+                    checked = OscStrip(s.inside, s.word)
+                    assert (s.star, s.outside) == (checked.star, checked.outside)
+                assert out.num_cols == max(s.num_cols for s in out.strips)
+    assert moves > 0
 
 
 def test_crystals_refuse_a_chain_wider_than_g():

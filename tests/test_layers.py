@@ -5,9 +5,10 @@
 * No module but ``oracles`` imports a ``_``-prefixed name from a sibling;
   a private helper is used only in the module that owns it.
 * ``Tableau._from_trusted`` and ``OscStrip._from_trusted``, which skip
-  their class's checks, are called only from ``rsk`` and ``bijections``,
-  whose differential tests rebuild every such object through the checking
-  constructor.  A new caller comes with its own differential test.
+  their class's checks, are called only from ``rsk``, ``bijections`` and
+  ``oscillating`` (the SSOT operator outputs), whose differential tests
+  rebuild every such object through the checking constructor.  A new
+  caller comes with its own differential test.
 * The SSOT junction codec stays in ``oscillating``: no module imports
   ``shift_overlap``, ``strip_pair_multisets`` or ``first_strip_counts``,
   and only ``oracles`` imports the bracket ``pair_multisets``.
@@ -141,6 +142,7 @@ def test_trusted_constructors_are_called_only_from_insertion():
     }
     assert callers == {
         ("bijections", "OscStrip"),
+        ("oscillating", "OscStrip"),
         ("rsk", "Tableau"),
     }
 
