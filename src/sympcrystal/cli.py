@@ -7,6 +7,9 @@ Subcommands:
   char chi|schur|decompose|pieri  exact character computations
   verify bijections|crystal|characters|conjecture|all   invariant batteries
 
+The ``verify`` suites, their caps and their run order live in
+``sympcrystal.verify``; no other command loads it.
+
 Objects travel as text: King tableaux as rows of letters (``2 2b / 3 3``,
 ``-`` for the empty tableau), oscillating tableaux as ``(1 1b)(2 1)``,
 matrices as comma-separated rows on separate lines.  All output is sorted,
@@ -19,7 +22,6 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 """
 
 import argparse
-import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -28,48 +30,30 @@ from .bijections import phi, phi_inverse, psi, psi_inverse
 from .characters import (
     LaurentCharacter,
     brauer_klimyk,
-    conjecture_verify,
-    decompose_sp,
     dual_pieri_count,
     dual_pieri_counts,
     king_character,
     schur_eval,
-    sundaram_h_count,
-    weyl_character,
 )
 from .crystal import (
     MatrixCrystal,
-    OperatorTable,
     SsotCrystal,
-    axiom_violations,
     crystal_graph,
     graph_to_adjacency,
     graph_to_dot,
-    stembridge_violations,
 )
 from .oscillating import enumerate_ssot, ssot_from_text
-from .rsk import (
-    c_index,
-    enumerate_admissible,
-    format_matrix,
-    parse_matrix,
-    row_sums,
-)
+from .rsk import format_matrix, parse_matrix
 from .tableaux import (
     enumerate_king,
     format_partition,
     king_from_text,
     king_to_text,
-    king_weight,
     parse_partition,
-    partitions_in_box,
-    partitions_upto,
     rect_complement,
     shape_in_rows,
     weight_to_partition,
 )
-
-BOUNDS = {"m": 4, "g": 3, "max_size_characters": 6, "max_size_conjecture": 4}
 
 
 class UsageError(Exception):
@@ -189,11 +173,12 @@ def cmd_char(args):
         if args.mu is not None:
             f = schur_eval(parse_partition(args.mu), args.m)
         return partition_count_lines(brauer_klimyk(lam, f, args.m)), True
-    # pieri: strip counts for one column length, optionally a single target
-    lam = shape_in_rows(parse_partition(args.lam), args.m)
+    # pieri: strip counts for one column length, optionally a single target;
+    # a missing --index is a usage error before any shape is read
     ell = args.index
     if ell is None:
         raise UsageError("char pieri needs --index (the strip size)")
+    lam = shape_in_rows(parse_partition(args.lam), args.m)
     if args.nu is not None:
         nu = shape_in_rows(parse_partition(args.nu), args.m)
         return [str(dual_pieri_count(lam, ell, nu, args.m))], True
@@ -201,191 +186,16 @@ def cmd_char(args):
     return sorted(f"{format_partition(nu)}\t{c}" for nu, c in counts.items()), True
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def suite_bijections(m, g):
-    rows = []
-    pairs = 0
-    weight_ok = True
-    by_outside = {}
-    for t in enumerate_ssot(None, m, g):
-        by_outside.setdefault(t.outside, []).append(t)
-    for mu in partitions_in_box(m, g):
-        kings = enumerate_king(mu, m)
-        ssots = by_outside.get(rect_complement(mu, m, g), [])
-        pairs += len(kings)
-        images = [psi(t, m, g) for t in kings]
-        if sorted(map(str, images)) != sorted(map(str, ssots)):
-            weight_ok = False
-        for t, s in zip(kings, images):
-            if psi_inverse(s, g) != t or king_weight(t, m) != s.crystal_weight(g):
-                weight_ok = False
-    rows.append(("bijections", "king_transport_round_trip", weight_ok,
-                 f"tableaux={pairs} m={m} g={g}"))
-    chains = by_outside.get((), [])
-    mats = enumerate_admissible(m, g)
-    ok = len(chains) == len(mats)
-    inv_ok = True
-    for t in chains:
-        mat = phi(t)
-        if phi_inverse(mat) != t:
-            inv_ok = False
-        if c_index(mat) != 2 * t.num_cols or row_sums(mat) != t.weight():
-            inv_ok = False
-    rows.append(("bijections", "matrix_transport_round_trip", inv_ok,
-                 f"tableaux={len(chains)}"))
-    rows.append(("bijections", "matrix_count_matches", ok,
-                 f"ssot={len(chains)} matrices={len(mats)}"))
-    return rows
-
-
-def suite_crystal(m, g):
-    # the reference routes load only when this suite runs, not at every CLI start
-    from .oracles import matrix_lower_surgery, matrix_raise_surgery
-
-    rows = []
-    # the crystals of every shape in the m x g box: m strips with peaks at
-    # most g wide never leave it
-    corpus = enumerate_ssot(None, m, g)
-    mats = enumerate_admissible(m, g)
-    # one operator table per model, shared by every check below and dropped
-    # on return
-    osc_tab, mat_tab = OperatorTable(SsotCrystal(m, g)), OperatorTable(MatrixCrystal(m, g))
-    for name, table, vertices in (("oscillating", osc_tab, corpus), ("matrix", mat_tab, mats)):
-        v = axiom_violations(table, vertices)
-        # the axioms asked e and f of every vertex, so an object the table
-        # holds beyond the (distinct) vertices is an output that left the
-        # crystal: the SSOT operators build their outputs unchecked
-        if len(table.objects) > len(vertices):
-            known = set(vertices)
-            x = next(x for x in table.objects if x not in known)
-            v.append(f"operator output is not a vertex: {x}")
-        rows.append(("crystal", f"axioms_{name}", not v,
-                     v[0] if v else f"vertices={len(vertices)}"))
-    # side 0 raises, side 1 lowers; every comparison runs, none exits early
-    surgery = (matrix_raise_surgery, matrix_lower_surgery)
-    same = [mat_tab.image(k, mat, i) == surgery[k](mat, i)
-            for mat in mats for i in range(1, m) for k in (0, 1)]
-    rows.append(("crystal", "insertion_vs_surgery", all(same), f"checks={len(same)}"))
-    equi_ok = True
-    checked = 0
-    for t in [t for t in corpus if t.outside == ()]:
-        mat = phi(t)
-        for i in range(m):
-            checked += 1
-            for k in (0, 1):
-                y = osc_tab.image(k, t, i)
-                if (None if y is None else phi(y)) != mat_tab.image(k, mat, i):
-                    equi_ok = False
-            if osc_tab.stats(osc_tab.id(t), i) != mat_tab.stats(mat_tab.id(mat), i):
-                equi_ok = False
-    rows.append(("crystal", "transport_equivariance", equi_ok, f"checks={checked}"))
-    v = stembridge_violations(osc_tab, corpus)
-    v += stembridge_violations(mat_tab, mats)
-    rows.append(("crystal", "stembridge_battery", not v,
-                 v[0] if v else f"vertices={len(corpus) + len(mats)}"))
-    return rows
-
-
-def suite_characters(m, max_size):
-    rows = []
-    ok = True
-    n = 0
-    for lam in partitions_upto(max_size, m):
-        n += 1
-        if king_character(lam, m) != weyl_character(lam, m):
-            ok = False
-    rows.append(("characters", "tableau_sum_equals_determinant_ratio", ok,
-                 f"shapes={n} m={m}"))
-    dp_ok = h_ok = True
-    checked = 0
-    # e_ell and h_ell do not depend on lam: one Schur evaluation each
-    elementary = [schur_eval((1,) * ell, m) for ell in range(4)]
-    complete = [schur_eval((ell,), m) for ell in range(4)]
-    for lam in partitions_upto(min(max_size, 4), m):
-        for ell in range(4):
-            dec_e = brauer_klimyk(lam, elementary[ell], m)
-            dec_h = brauer_klimyk(lam, complete[ell], m)
-            strips = dual_pieri_counts(lam, ell, m)
-            for nu in partitions_upto(min(max_size, 4) + ell, m):
-                checked += 1
-                if dec_e.get(nu, 0) != strips[nu]:
-                    dp_ok = False
-                if dec_h.get(nu, 0) != sundaram_h_count(lam, ell, nu):
-                    h_ok = False
-    rows.append(("characters", "dual_pieri_rule", dp_ok, f"checks={checked}"))
-    rows.append(("characters", "row_pieri_rule", h_ok, f"checks={checked}"))
-    rng = random.Random(0)
-    pool = partitions_upto(min(max_size, 3), m)
-    rec_ok = True
-    for _ in range(20):
-        a, b = rng.choice(pool), rng.choice(pool)
-        f = weyl_character(a, m) * weyl_character(b, m)
-        rebuilt = f - f
-        for nu, c in decompose_sp(f, m).items():
-            rebuilt = rebuilt + c * weyl_character(nu, m)
-        if rebuilt != f:
-            rec_ok = False
-    rows.append(("characters", "decomposition_reconstructs", rec_ok, "products=20"))
-    return rows
-
-
-def suite_conjecture(m, max_size):
-    rows = []
-    asserted = reported = 0
-    bad = []
-    memo, schurs = {}, {}  # one strip table and one Schur table for every pair
-    for lam in partitions_upto(max_size, m):
-        for mu in partitions_upto(max_size, m):
-            r = conjecture_verify(lam, mu, m, memo, schurs)
-            if r.mode == "ASSERT":
-                asserted += 1
-                if not r.ok:
-                    bad.append((lam, mu))
-            else:
-                reported += 1
-                if not r.ok:
-                    rows.append(("conjecture", "report_mode_difference", True,
-                                 f"lambda={format_partition(lam)} mu={format_partition(mu)}"))
-    rows.append(("conjecture", "product_formula_proved_range", not bad,
-                 f"asserted={asserted} reported={reported}" if not bad
-                 else f"first failure lambda={bad[0][0]} mu={bad[0][1]}"))
-    return rows
-
-
 def cmd_verify(args):
-    m = args.m
-    g = args.g if args.g is not None else min(m, 2)
-    sizes = {"characters": 4, "conjecture": 3}
-    if args.max_size is not None:
-        sizes = dict.fromkeys(sizes, args.max_size)
-    wanted = [s for s in ("bijections", "crystal", "characters", "conjecture")
-              if args.what in (s, "all")]
+    # the battery, and the reference routes it checks against, load only here
+    from .verify import out_of_bounds, run
+
+    g = args.g if args.g is not None else min(args.m, 2)
     # every bound is checked before any suite runs
-    if m > BOUNDS["m"] or g > BOUNDS["g"]:
-        raise UsageError(f"verify is desk-scale: m <= {BOUNDS['m']}, g <= {BOUNDS['g']}")
-    for suite, size in sizes.items():
-        if suite in wanted and size > BOUNDS[f"max_size_{suite}"]:
-            raise UsageError(f"{suite} suite caps --max-size at {BOUNDS[f'max_size_{suite}']}")
-    rows = []
-    if "bijections" in wanted:
-        rows += suite_bijections(m, g)
-    if "crystal" in wanted:
-        rows += suite_crystal(m, g)
-    if "characters" in wanted:
-        rows += suite_characters(m, sizes["characters"])
-    if "conjecture" in wanted:
-        rows += suite_conjecture(m, sizes["conjecture"])
-    lines = [
-        f"{suite}\t{name}\t{'PASS' if ok else 'FAIL'}\t{detail}"
-        for suite, name, ok, detail in rows
-    ]
-    ok = all(r[2] for r in rows)
-    passed = sum(1 for r in rows if r[2])
-    lines.append(f"summary\t{args.what}\t{'PASS' if ok else 'FAIL'}\t{passed}/{len(rows)} checks")
-    return lines, ok
+    message = out_of_bounds(args.what, args.m, g, args.max_size)
+    if message:
+        raise UsageError(message)
+    return run(args.what, args.m, g, args.max_size)
 
 
 # ---------------------------------------------------------------------------

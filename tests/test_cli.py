@@ -1,4 +1,5 @@
 import io
+import os
 import shlex
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sympcrystal import characters, cli, crystal, oscillating
+from sympcrystal import characters, cli, crystal, oscillating, verify
 from sympcrystal.characters import weyl_character
 from sympcrystal.cli import main
 from sympcrystal.crystal import SsotCrystal, crystal_graph, decompose
@@ -315,6 +316,15 @@ def test_char_pieri_rejects_lambda_with_too_many_rows(capsys):
     assert err == "invalid input: shape (1, 1, 1) has more than 2 rows\n"
 
 
+def test_char_pieri_without_index_is_a_usage_error_before_any_shape(capsys):
+    # shapes that would be refused as invalid input (exit 3) if they were read
+    for shapes in (["--lambda", "[1,1,1]"], ["--lambda", "[1]", "--nu", "[1,1,1,1]"],
+                   ["--lambda", "[x]", "--nu", "[-1]"]):
+        code, out, err = run_cli(capsys, "char", "pieri", "--m", "2", *shapes)
+        assert (code, out) == (2, "")
+        assert err == "usage error: char pieri needs --index (the strip size)\n"
+
+
 def test_char_pieri_rejects_nu_with_too_many_rows(capsys):
     code, out, err = run_cli(
         capsys, "char", "pieri", "--lambda", "[1]", "--index", "1", "--m", "2",
@@ -370,10 +380,10 @@ def strip_calls(monkeypatch):
 
 
 def test_suites_enumerate_each_strip_set_once(strip_calls):
-    cli.suite_conjecture(2, 3)
+    verify.suite_conjecture(2, 3)
     assert len(strip_calls) == 18 and set(strip_calls.values()) == {1}
     strip_calls.clear()
-    cli.suite_characters(2, 2)
+    verify.suite_characters(2, 2)
     # one scan per (lambda, ell): 4 shapes of size <= 2, ell = 0..3
     assert len(strip_calls) == 16 and set(strip_calls.values()) == {1}
 
@@ -428,7 +438,7 @@ def operator_calls(monkeypatch):
 def test_verify_crystal_applies_each_operator_once_per_vertex_and_index(
     capsys, operator_calls
 ):
-    cli.suite_crystal(3, 2)
+    verify.suite_crystal(3, 2)
     assert {key[:2] for key in operator_calls} == {
         (model, op) for model in ("SsotCrystal", "MatrixCrystal") for op in ("e", "f", "stats")
     }
@@ -446,16 +456,16 @@ def test_verify_crystal_applies_each_operator_once_per_vertex_and_index(
 
 def test_verify_bijections_runs_psi_once_per_king_tableau(monkeypatch):
     calls = Counter()
-    real = cli.psi
+    real = verify.psi
 
     def counting(t, m, g):
         calls[t] += 1
         return real(t, m, g)
 
-    monkeypatch.setattr(cli, "psi", counting)
+    monkeypatch.setattr(verify, "psi", counting)
     for m, g in [(2, 2), (3, 2)]:
         calls.clear()
-        rows = cli.suite_bijections(m, g)
+        rows = verify.suite_bijections(m, g)
         kings = [t for mu in partitions_in_box(m, g) for t in enumerate_king(mu, m)]
         assert all(ok for _, _, ok, _ in rows)
         assert calls.keys() == set(kings) and set(calls.values()) == {1}
@@ -489,7 +499,7 @@ def test_verify_crystal_fails_a_decode_that_leaves_the_crystal(capsys, monkeypat
     table = crystal.OperatorTable(SsotCrystal(2, 2))
     assert crystal.axiom_violations(table, corpus) == []
     assert len(table.objects) > len(corpus)
-    rows = {name: (ok, detail) for _, name, ok, detail in cli.suite_crystal(2, 2)}
+    rows = {name: (ok, detail) for _, name, ok, detail in verify.suite_crystal(2, 2)}
     ok, detail = rows["axioms_oscillating"]
     assert not ok and detail.startswith("operator output is not a vertex: ")
     assert rows["axioms_matrix"][0]
@@ -514,6 +524,61 @@ def test_verify_rejects_out_of_bounds(capsys):
     assert code == 2 and "caps --max-size" in err
 
 
+def test_verify_checks_only_the_caps_of_the_suites_it_runs():
+    assert verify.out_of_bounds("crystal", 2, 2, 9) is None
+    assert verify.out_of_bounds("all", 2, 2, 5) == "conjecture suite caps --max-size at 4"
+    assert verify.out_of_bounds("all", 2, 2, 9) == "characters suite caps --max-size at 6"
+    # m and g come first, whatever the suite
+    assert verify.out_of_bounds("all", 2, 4, 9) == "verify is desk-scale: m <= 4, g <= 3"
+
+
+def test_verify_all_is_every_suite_in_table_order(capsys):
+    size = ["--m", "2", "--g", "1", "--max-size", "2"]
+    code, out, _ = run_cli(capsys, "verify", "all", *size)
+    assert code == 0
+    rows = []
+    for name in verify.SUITES:
+        code, one, _ = run_cli(capsys, "verify", name, *size)
+        *lines, summary = one.splitlines()
+        assert code == 0 and lines and summary.startswith(f"summary\t{name}\tPASS\t")
+        rows += lines
+    assert out.splitlines() == rows + [f"summary\tall\tPASS\t{len(rows)}/{len(rows)} checks"]
+
+
+def test_verify_accepts_every_suite_of_the_table():
+    # the parser's choices are a literal list; this keeps it in step with SUITES
+    parser = cli.build_parser()
+    for what in [*verify.SUITES, "all"]:
+        assert parser.parse_args(["verify", what]).what == what
+
+
+LAZY_PROBE = """
+import contextlib, io, sys
+from sympcrystal import cli
+battery = {"sympcrystal.verify", "sympcrystal.oracles"}
+before = sorted(battery & set(sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(before, code, sorted(battery & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["enumerate", "ssot", "--mu", "[1]", "--m", "2", "--g", "1"], False),
+    (["map", "phi-inv", "--input", "-"], False),
+    (["crystal", "graph", "--mu", "[1]", "--m", "2", "--g", "1"], False),
+    (["char", "chi", "--lambda", "[1]", "--m", "2"], False),
+    (["verify", "crystal", "--m", "1", "--g", "1"], True),
+], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None)
+def test_only_verify_loads_the_battery_and_the_oracles(argv, loaded):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, *argv], input=WORKED_MATRIX,
+                          capture_output=True, text=True, env=env)
+    battery = ["sympcrystal.oracles", "sympcrystal.verify"] if loaded else []
+    assert proc.stdout == f"[] 0 {battery}\n", proc.stderr
+
+
 def test_verify_runs_at_m_4_and_refuses_m_5(capsys):
     code, out, _ = run_cli(capsys, "verify", "crystal", "--m", "4", "--g", "1")
     assert code == 0 and out.splitlines()[-1].startswith("summary\tcrystal\tPASS")
@@ -526,7 +591,7 @@ def test_verify_checks_every_bound_before_any_suite(capsys, monkeypatch):
         raise AssertionError("a suite ran before the bounds were checked")
 
     for suite in ("suite_bijections", "suite_crystal", "suite_characters"):
-        monkeypatch.setattr(cli, suite, not_reached)
+        monkeypatch.setattr(verify, suite, not_reached)
     # --max-size 5 is within the characters cap and past the conjecture cap
     code, out, err = run_cli(
         capsys, "verify", "all", "--m", "3", "--g", "2", "--max-size", "5"
@@ -537,7 +602,7 @@ def test_verify_checks_every_bound_before_any_suite(capsys, monkeypatch):
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "suite_bijections",
+        verify, "suite_bijections",
         lambda m, g: [("bijections", "stub", False, "planted failure")],
     )
     code, out, _ = run_cli(capsys, "verify", "bijections", "--m", "1", "--g", "1")

@@ -12,8 +12,11 @@
 * The SSOT junction codec stays in ``oscillating``: no module imports
   ``shift_overlap``, ``strip_pair_multisets`` or ``first_strip_counts``,
   and only ``oracles`` imports the bracket ``pair_multisets``.
-* The one import inside a function is ``cli.suite_crystal``'s import of
-  ``.oracles``, which keeps the reference routes off every CLI start.
+* The one import inside a function is ``cli.cmd_verify``'s import of
+  ``.verify``, which keeps the battery, and the reference routes of
+  ``oracles`` that it imports, off every other CLI command
+  (``test_cli.py::test_only_verify_loads_the_battery_and_the_oracles``
+  checks the same at run time).
 * Every library name the benchmark binds resolves: the functions and
   methods ``perfbench/tracer.py`` wraps, the names ``perfbench/jobs.py`` and
   ``perfbench/worker.py`` import, and the package's ``__all__``.  The
@@ -124,13 +127,13 @@ def test_the_junction_codec_is_imported_only_by_oracles(imports):
     assert importers == [("oracles", "oscillating.pair_multisets")]
 
 
-def test_the_only_function_level_import_is_oracles_in_suite_crystal(imports):
+def test_the_only_function_level_import_is_verify_in_cmd_verify(imports):
     nested = sorted(
         (name, func, level, module)
         for name, entries in imports.items()
         for func, level, module, _ in entries if func is not None
     )
-    assert nested == [("cli", "suite_crystal", 1, "oracles")]
+    assert nested == [("cli", "cmd_verify", 1, "verify")]
 
 
 def test_trusted_constructors_are_called_only_from_insertion():
