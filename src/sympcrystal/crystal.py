@@ -7,7 +7,7 @@ of one body (side 0 raises, side 1 lowers), reached through the model's
 crystal object.  The oscillating body and its statistics are
 :func:`sympcrystal.oscillating.ssot_move` and ``ssot_stats``, which the King
 model reaches through ``psi``; the matrix body is here, built on the type-A
-tableau crystal and its ``ssyt_*`` functions.
+tableau crystal, :func:`ssyt_move` and :func:`ssyt_stats`.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ def _ssyt_scan(t: Tableau, i: int) -> tuple[list[tuple[int, int]], list[tuple[in
     return opens, closes
 
 
-def _ssyt_move(t: Tableau, i: int, k: int) -> Tableau | None:
-    """:func:`ssyt_raise` on side 0, :func:`ssyt_lower` on side 1."""
+def ssyt_move(t: Tableau, i: int, k: int) -> Tableau | None:
+    """Side 0 turns the last unpaired i+1 into an i, side 1 the first
+    unpaired i into an i+1; None if there is none."""
     unpaired = _ssyt_scan(t, i)[1 - k]
     if not unpaired:
         return None
@@ -70,16 +71,6 @@ def _ssyt_move(t: Tableau, i: int, k: int) -> Tableau | None:
     rows = [list(row) for row in t.rows]
     rows[r][c] = i + k
     return Tableau(tuple(tuple(row) for row in rows))
-
-
-def ssyt_raise(t: Tableau, i: int) -> Tableau | None:
-    """Turn the last unpaired i+1 into an i; None if there is none."""
-    return _ssyt_move(t, i, 0)
-
-
-def ssyt_lower(t: Tableau, i: int) -> Tableau | None:
-    """Turn the first unpaired i into an i+1; None if there is none."""
-    return _ssyt_move(t, i, 1)
 
 
 def ssyt_stats(t: Tableau, i: int) -> tuple[int, int]:
@@ -121,7 +112,7 @@ def _matrix_move(m: Matrix, i: int, g: int, k: int) -> Matrix | None:
             return None
         out = matrix([(corner, *m[0][1:]), *m[1:]])
         return out if k == 0 or c_index(out) <= 2 * g else None
-    p2 = _ssyt_move(p, i, k)
+    p2 = ssyt_move(p, i, k)
     return None if p2 is None else rsk_column_inverse(p2, p2, len(m), len(m[0]))
 
 

@@ -17,9 +17,9 @@
   the ``(P_q, V_q)`` traces of ``phi_inverse`` on ``Tableau`` objects
   (the ``test_trace_*`` tests of ``test_bijections.py``; acceptance
   criterion 1).
-* :func:`matrix_raise_surgery`, :func:`matrix_lower_surgery`: the matrix
-  operators for ``i >= 1`` by bracket surgery, without insertion (the
-  ``verify crystal`` row ``insertion_vs_surgery``;
+* :func:`matrix_surgery`, side k of the matrix operators for ``i >= 1``
+  (0 raises, 1 lowers) by bracket surgery on :func:`surgery_rows`, without
+  insertion (the ``verify crystal`` row ``insertion_vs_surgery``;
   ``test_crystal.py::test_matrix_two_routes_agree_exhaustive``).
 * :func:`locality_mask`: the part of a matrix that junction ``i`` sees
   (``test_crystal.py::test_locality_mask_anchor``).
@@ -199,54 +199,29 @@ def inverse_column_word(m: Matrix) -> tuple[int, ...]:
 # two-line-array surgery: an independent route to the same operators
 
 
-def _row_junction_multisets(m: Matrix, i: int) -> tuple[list[int], list[int]]:
-    """Rows i, i+1 (1-based) as ascending lists of column indices, with repeats."""
+def surgery_rows(m: Matrix, i: int, k: int) -> Matrix | None:
+    """Side 0 moves one unit from row i+1 up to row i (1-based), in the
+    column of the largest unpaired entry under the junction bracket pairing;
+    side 1 moves one from row i down to row i+1, in the column of the
+    smallest.  None if that side has no unpaired entry."""
     c = [j + 1 for j, v in enumerate(m[i - 1]) for _ in range(v)]
     d = [j + 1 for j, v in enumerate(m[i]) for _ in range(v)]
-    return c, d
-
-
-def _move_unit(m: Matrix, src: int, dst: int, col: int) -> Matrix:
+    unpaired = pair_multisets(c, d)[1 - k]
+    if not unpaired:
+        return None
+    col = unpaired[k - 1] - 1  # the largest on side 0, the smallest on side 1
     rows = [list(r) for r in m]
-    rows[src][col - 1] -= 1
-    rows[dst][col - 1] += 1
+    rows[i - k][col] -= 1  # 0-based: row i to i-1 on side 0, i-1 to i on side 1
+    rows[i - 1 + k][col] += 1
     return matrix(rows)
 
 
-def surgery_raise_rows(m: Matrix, i: int) -> Matrix | None:
-    """Move one unit from row i+1 up to row i (1-based), in the column of
-    the largest unpaired entry under the junction bracket pairing."""
-    c, d = _row_junction_multisets(m, i)
-    _, left_d = pair_multisets(c, d)
-    if not left_d:
-        return None
-    return _move_unit(m, i, i - 1, left_d[-1])
-
-
-def surgery_lower_rows(m: Matrix, i: int) -> Matrix | None:
-    """Move one unit from row i down to row i+1, in the column of the
-    smallest unpaired entry."""
-    c, d = _row_junction_multisets(m, i)
-    left_c, _ = pair_multisets(c, d)
-    if not left_c:
-        return None
-    return _move_unit(m, i - 1, i, left_c[0])
-
-
-def _transposed(op, m: Matrix, i: int) -> Matrix | None:
-    out = op(transpose_matrix(m), i)
+def matrix_surgery(m: Matrix, i: int, k: int) -> Matrix | None:
+    """Row surgery, then the same on the transpose; agrees with side k of
+    ``MatrixCrystal`` for i >= 1."""
+    step = surgery_rows(m, i, k)
+    out = None if step is None else surgery_rows(transpose_matrix(step), i, k)
     return None if out is None else transpose_matrix(out)
-
-
-def matrix_raise_surgery(m: Matrix, i: int) -> Matrix | None:
-    """Row surgery then column surgery; agrees with ``MatrixCrystal.e`` for i >= 1."""
-    step = surgery_raise_rows(m, i)
-    return None if step is None else _transposed(surgery_raise_rows, step, i)
-
-
-def matrix_lower_surgery(m: Matrix, i: int) -> Matrix | None:
-    step = surgery_lower_rows(m, i)
-    return None if step is None else _transposed(surgery_lower_rows, step, i)
 
 
 def locality_mask(m: Matrix, i: int) -> Matrix:

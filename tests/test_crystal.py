@@ -22,15 +22,13 @@ from sympcrystal.crystal import (
     graph_to_adjacency,
     graph_to_dot,
     ssot_stats,
-    ssyt_lower,
-    ssyt_raise,
+    ssyt_move,
     ssyt_stats,
     stembridge_violations,
 )
 from sympcrystal.oracles import (
     locality_mask,
-    matrix_lower_surgery,
-    matrix_raise_surgery,
+    matrix_surgery,
     strip_additions,
     strip_removals,
 )
@@ -134,30 +132,62 @@ def test_pairing_residue_is_separated():
 
 def test_ssyt_anchor():
     t = Tableau(((1, 1, 1, 2, 2), (2, 3), (3, 4)))
-    assert ssyt_lower(t, 2) == Tableau(((1, 1, 1, 2, 3), (2, 3), (3, 4)))
-    assert ssyt_raise(t, 2) is None
+    assert ssyt_move(t, 2, 1) == Tableau(((1, 1, 1, 2, 3), (2, 3), (3, 4)))
+    assert ssyt_move(t, 2, 0) is None
     assert ssyt_stats(t, 2) == (0, 1)
 
 
 def test_ssyt_single_box():
-    assert ssyt_lower(Tableau(((1,),)), 1) == Tableau(((2,),))
-    assert ssyt_raise(Tableau(((2,),)), 1) == Tableau(((1,),))
-    assert ssyt_lower(Tableau(((2,),)), 1) is None
+    assert ssyt_move(Tableau(((1,),)), 1, 1) == Tableau(((2,),))
+    assert ssyt_move(Tableau(((2,),)), 1, 0) == Tableau(((1,),))
+    assert ssyt_move(Tableau(((2,),)), 1, 1) is None
 
 
 def test_ssyt_mutual_inverse_exhaustive():
     for lam in ((1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2)):
         for t in tableaux_of_shape(lam, 3):
             for i in (1, 2):
-                down = ssyt_lower(t, i)
+                down = ssyt_move(t, i, 1)
                 if down is not None:
-                    assert ssyt_raise(down, i) == t
-                up = ssyt_raise(t, i)
+                    assert ssyt_move(down, i, 0) == t
+                up = ssyt_move(t, i, 0)
                 if up is not None:
-                    assert ssyt_lower(up, i) == t
+                    assert ssyt_move(up, i, 1) == t
                 eps, phi = ssyt_stats(t, i)
-                assert (ssyt_raise(t, i) is not None) == (eps > 0)
-                assert (ssyt_lower(t, i) is not None) == (phi > 0)
+                assert (ssyt_move(t, i, 0) is not None) == (eps > 0)
+                assert (ssyt_move(t, i, 1) is not None) == (phi > 0)
+
+
+def _with_cell(t, r, c, v):
+    rows = [list(row) for row in t.rows]
+    rows[r][c] = v
+    return Tableau(tuple(map(tuple, rows)))
+
+
+def test_ssyt_signature_is_the_junction_bracket():
+    """The reading-word rule of ``ssyt_stats`` and ``ssyt_move`` is
+    ``pair_multisets`` on the rows holding the i's and the (i+1)'s: the
+    leftovers count eps and phi, side 0 turns the leftmost i+1 of the largest
+    unpaired row into an i, side 1 the rightmost i of the smallest into an i+1."""
+    cases = 0
+    for lam in partitions_in_box(3, 3):
+        for t in tableaux_of_shape(lam, 4):
+            for i in (1, 2, 3):
+                c, d = ([r for r, row in enumerate(t.rows) for x in row if x == v]
+                        for v in (i, i + 1))
+                left_c, left_d = pair_multisets(c, d)
+                assert ssyt_stats(t, i) == (len(left_d), len(left_c))
+                up = down = None
+                if left_d:
+                    r = left_d[-1]
+                    up = _with_cell(t, r, t.rows[r].index(i + 1), i)
+                if left_c:
+                    r = left_c[0]
+                    row = t.rows[r]
+                    down = _with_cell(t, r, len(row) - 1 - row[::-1].index(i), i + 1)
+                assert (ssyt_move(t, i, 0), ssyt_move(t, i, 1)) == (up, down), (t, i)
+                cases += 1
+    assert cases == 1638  # the corpus of the type-A digest in test_operator_outputs_are_pinned
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +498,7 @@ def test_matrix_raise_locality_example():
     up = cr.e(m, 2)
     assert up == expected
     assert cr.f(up, 2) == m
-    assert matrix_raise_surgery(m, 2) == expected
+    assert matrix_surgery(m, 2, 0) == expected
     # entries outside rows/columns 2,3 are untouched
     for p in (0, 3):
         for q in (0, 3):
@@ -491,8 +521,8 @@ def test_matrix_two_routes_agree_exhaustive():
             cr = MatrixCrystal(m_size, g)
             for mat in enumerate_admissible(m_size, g):
                 for i in range(1, m_size):
-                    assert cr.e(mat, i) == matrix_raise_surgery(mat, i)
-                    assert cr.f(mat, i) == matrix_lower_surgery(mat, i)
+                    assert cr.e(mat, i) == matrix_surgery(mat, i, 0)
+                    assert cr.f(mat, i) == matrix_surgery(mat, i, 1)
 
 
 def test_matrix_ops_preserve_admissible_and_symmetry():
@@ -538,7 +568,7 @@ def test_operator_outputs_are_pinned():
         401, "522f10e10dffc6a9bb9da78ae0138a0987c97adf3a3fdea6ca0e35767913c8bf")
     assert _digest(_crystal_lines(KingCrystal, kings)) == (
         2064, "b95dcf62d654b75e788a4ff82762e3637fedb2a90a0a767e7007853fb6da6eba")
-    ssyt = [_op_line(t, i, ssyt_raise(t, i), ssyt_lower(t, i))
+    ssyt = [_op_line(t, i, ssyt_move(t, i, 0), ssyt_move(t, i, 1))
             for lam in partitions_in_box(3, 3)
             for t in tableaux_of_shape(lam, 4) for i in (1, 2, 3)]
     assert _digest(ssyt) == (
@@ -596,10 +626,10 @@ class _TypeA:
         return tuple(range(1, self.n))
 
     def e(self, x, i):
-        return ssyt_raise(x, i)
+        return ssyt_move(x, i, 0)
 
     def f(self, x, i):
-        return ssyt_lower(x, i)
+        return ssyt_move(x, i, 1)
 
     def stats(self, x, i):
         return ssyt_stats(x, i)
@@ -651,7 +681,7 @@ class _CrossedTypeA(_TypeA):
     """Lowers at the other index, so ``f`` does not invert ``e``."""
 
     def f(self, x, i):
-        return ssyt_lower(x, self.n - i)
+        return ssyt_move(x, self.n - i, 1)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@
 * The SSOT junction codec stays in ``oscillating``: no module imports
   ``shift_overlap``, ``strip_pair_multisets`` or ``first_strip_counts``,
   and only ``oracles`` imports the bracket ``pair_multisets``.
+* No module defines two functions whose names differ only by ``raise``
+  and ``lower``: the two sides of each operator share one body that takes
+  the side k (0 raises, 1 lowers), as ``ssyt_move``, ``ssot_move`` and
+  ``matrix_surgery`` do.
 * The one import inside a function is ``cli.cmd_verify``'s import of
   ``.verify``, which keeps the battery, and the reference routes of
   ``oracles`` that it imports, off every other CLI command
@@ -134,6 +138,15 @@ def test_the_only_function_level_import_is_verify_in_cmd_verify(imports):
         for func, level, module, _ in entries if func is not None
     )
     assert nested == [("cli", "cmd_verify", 1, "verify")]
+
+
+def test_no_raise_lower_pair_of_functions():
+    pairs = []
+    for p in sorted(SRC.glob("*.py")):
+        names = {node.name for node in ast.walk(ast.parse(p.read_text(), str(p)))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        pairs += [(p.stem, n) for n in sorted(names) if n.replace("raise", "lower") in names - {n}]
+    assert pairs == []
 
 
 def test_trusted_constructors_are_called_only_from_insertion():
