@@ -6,16 +6,17 @@ oscillating tableau (equivalently the top-left matrix entry).  Indices
 of one body (side 0 raises, side 1 lowers), reached through the model's
 crystal object.  The oscillating body and its statistics are
 :func:`sympcrystal.oscillating.ssot_move` and ``ssot_stats``, which the King
-model reaches through ``psi``; the matrix body is here, built on the type-A
-tableau crystal, :func:`ssyt_move` and :func:`ssyt_stats`.
+model reaches through ``psi``; the matrix body is here, on the tableau crystal
+:func:`ssyt_move` and :func:`ssyt_stats`, bracketed by ``pair_multisets``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .oscillating import SSOT, ssot_move, ssot_stats
+from .oscillating import SSOT, pair_multisets, ssot_move, ssot_stats
 from .rsk import (
     Matrix,
     c_index,
@@ -40,43 +41,31 @@ from .bijections import psi, psi_inverse
 # type-A operators on semistandard tableaux
 
 
-def _ssyt_scan(t: Tableau, i: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Cells holding unpaired i / i+1, in reading order.
-
-    Reading rows top to bottom and right to left, each i+1 cancels the most
-    recently seen uncancelled i.
-    """
-    opens: list[tuple[int, int]] = []
-    closes: list[tuple[int, int]] = []
+def _ssyt_bracket(t: Tableau, i: int) -> tuple[list[int], list[int]]:
+    """The rows of the unpaired i's and (i+1)'s, one per cell, ascending."""
+    c, d = [], []
     for r, row in enumerate(t.rows):
-        for c in range(len(row) - 1, -1, -1):
-            v = row[c]
-            if v == i:
-                opens.append((r, c))
-            elif v == i + 1:
-                if opens:
-                    opens.pop()
-                else:
-                    closes.append((r, c))
-    return opens, closes
+        c += [r] * row.count(i)
+        d += [r] * row.count(i + 1)
+    return pair_multisets(c, d)
 
 
 def ssyt_move(t: Tableau, i: int, k: int) -> Tableau | None:
-    """Side 0 turns the last unpaired i+1 into an i, side 1 the first
-    unpaired i into an i+1; None if there is none."""
-    unpaired = _ssyt_scan(t, i)[1 - k]
+    """Side 0 turns the leftmost i+1 of the largest unpaired row into an i,
+    side 1 the rightmost i of the smallest into an i+1; else None."""
+    unpaired = _ssyt_bracket(t, i)[1 - k]
     if not unpaired:
         return None
-    r, c = unpaired[k - 1]  # the last on side 0, the first on side 1
-    rows = [list(row) for row in t.rows]
-    rows[r][c] = i + k
-    return Tableau(tuple(tuple(row) for row in rows))
+    r = unpaired[k - 1]  # the largest on side 0, the smallest on side 1
+    row = list(t.rows[r])
+    row[bisect_left(row, i + 1) - k] = i + k
+    return Tableau((*t.rows[:r], tuple(row), *t.rows[r + 1:]))
 
 
 def ssyt_stats(t: Tableau, i: int) -> tuple[int, int]:
     """(epsilon, phi): the unpaired i+1 and i counts."""
-    opens, closes = _ssyt_scan(t, i)
-    return len(closes), len(opens)
+    left_c, left_d = _ssyt_bracket(t, i)
+    return len(left_d), len(left_c)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ of strips i and i+1, which :func:`strip_pair_multisets` writes and
 trusted helper, ``_trusted_strip``, which sums its addition and removal rows
 onto the inside's row lengths and replays nothing; only the outer shape of
 a junction is checked.  ``verify crystal`` keeps the safety net: an output
-that is not one of the enumerated chains fails its axiom rows.
-:mod:`sympcrystal.crystal` wraps the operators.
+that is not one of the enumerated chains fails its axiom rows.  The bracket,
+:func:`pair_multisets`, is the package's one: :mod:`sympcrystal.crystal`
+(which wraps the operators) and the surgery oracle bracket with it too.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def shift_overlap(a: list[int], b: list[int], delta: int) -> list[int]:
 
 
 def pair_multisets(c: list[int], d: list[int]) -> tuple[list[int], list[int]]:
-    """Bracket-pair each q in d with some p in c, p < q; return the leftovers.
+    """The package's one bracket: pair each q in d with some p < q in c.
 
     Both multisets come as ascending lists.  This is matching in the word
     that lists all elements by increasing value with d-elements first at

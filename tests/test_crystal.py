@@ -164,30 +164,40 @@ def _with_cell(t, r, c, v):
     return Tableau(tuple(map(tuple, rows)))
 
 
+def _reading_word_scan(t, i):
+    """Cells of the unpaired i's and (i+1)'s in reading order: rows top to
+    bottom, right to left, each i+1 cancelling the most recent open i."""
+    opens, closes = [], []
+    for r, row in enumerate(t.rows):
+        for c in range(len(row) - 1, -1, -1):
+            if row[c] == i:
+                opens.append((r, c))
+            elif row[c] == i + 1:
+                if opens:
+                    opens.pop()
+                else:
+                    closes.append((r, c))
+    return opens, closes
+
+
 def test_ssyt_signature_is_the_junction_bracket():
-    """The reading-word rule of ``ssyt_stats`` and ``ssyt_move`` is
-    ``pair_multisets`` on the rows holding the i's and the (i+1)'s: the
-    leftovers count eps and phi, side 0 turns the leftmost i+1 of the largest
-    unpaired row into an i, side 1 the rightmost i of the smallest into an i+1."""
-    cases = 0
-    for lam in partitions_in_box(3, 3):
-        for t in tableaux_of_shape(lam, 4):
-            for i in (1, 2, 3):
-                c, d = ([r for r, row in enumerate(t.rows) for x in row if x == v]
-                        for v in (i, i + 1))
-                left_c, left_d = pair_multisets(c, d)
-                assert ssyt_stats(t, i) == (len(left_d), len(left_c))
-                up = down = None
-                if left_d:
-                    r = left_d[-1]
-                    up = _with_cell(t, r, t.rows[r].index(i + 1), i)
-                if left_c:
-                    r = left_c[0]
-                    row = t.rows[r]
-                    down = _with_cell(t, r, len(row) - 1 - row[::-1].index(i), i + 1)
-                assert (ssyt_move(t, i, 0), ssyt_move(t, i, 1)) == (up, down), (t, i)
-                cases += 1
-    assert cases == 1638  # the corpus of the type-A digest in test_operator_outputs_are_pinned
+    """``ssyt_stats`` and ``ssyt_move``, which bracket rows with
+    ``pair_multisets``, follow the reading-word rule: eps and phi count the
+    unpaired i+1's and i's, side 0 turns the last unpaired i+1 into an i,
+    side 1 the first unpaired i into an i+1.  The 3-by-3 box over 4 letters
+    is the type-A digest's corpus in test_operator_outputs_are_pinned."""
+    seen = Counter()
+    for rows, cols, letters in ((3, 3, 4), (4, 3, 5)):
+        for lam in partitions_in_box(rows, cols):
+            for t in tableaux_of_shape(lam, letters):
+                for i in range(1, letters):
+                    opens, closes = _reading_word_scan(t, i)
+                    assert ssyt_stats(t, i) == (len(closes), len(opens))
+                    up = _with_cell(t, *closes[-1], i) if closes else None
+                    down = _with_cell(t, *opens[0], i + 1) if opens else None
+                    assert (ssyt_move(t, i, 0), ssyt_move(t, i, 1)) == (up, down), (t, i)
+                    seen[rows, letters] += 1
+    assert seen == {(3, 4): 1638, (4, 5): 15048}
 
 
 # ---------------------------------------------------------------------------

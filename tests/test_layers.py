@@ -10,8 +10,9 @@
   rebuild every such object through the checking constructor.  A new
   caller comes with its own differential test.
 * The SSOT junction codec stays in ``oscillating``: no module imports
-  ``shift_overlap``, ``strip_pair_multisets`` or ``first_strip_counts``,
-  and only ``oracles`` imports the bracket ``pair_multisets``.
+  ``shift_overlap``, ``strip_pair_multisets`` or ``first_strip_counts``.
+  The bracket ``pair_multisets`` is the package's one, and only ``crystal``
+  (the type-A tableau crystal) and ``oracles`` (the surgery route) import it.
 * No module defines two functions whose names differ only by ``raise``
   and ``lower``: the two sides of each operator share one body that takes
   the side k (0 raises, 1 lowers), as ``ssyt_move``, ``ssot_move`` and
@@ -120,7 +121,7 @@ def test_only_oracles_imports_private_sibling_names(imports):
     assert crossing == []
 
 
-def test_the_junction_codec_is_imported_only_by_oracles(imports):
+def test_only_crystal_and_oracles_import_the_bracket_and_none_the_codec(imports):
     codec = {"shift_overlap", "strip_pair_multisets", "first_strip_counts", "pair_multisets"}
     importers = sorted(
         (name, f"{module}.{n}")
@@ -128,7 +129,10 @@ def test_the_junction_codec_is_imported_only_by_oracles(imports):
         for _, level, module, names in entries if level == 1
         for n in names if n in codec
     )
-    assert importers == [("oracles", "oscillating.pair_multisets")]
+    assert importers == [
+        ("crystal", "oscillating.pair_multisets"),
+        ("oracles", "oscillating.pair_multisets"),
+    ]
 
 
 def test_the_only_function_level_import_is_verify_in_cmd_verify(imports):
