@@ -8,7 +8,9 @@ Subcommands:
   verify bijections|crystal|characters|conjecture|all   invariant batteries
 
 The ``verify`` suites, their caps and their run order live in
-``sympcrystal.verify``; no other command loads it.
+``sympcrystal.verify``; no other command loads it.  ``main`` builds its
+option tree once per process, on its first call, and parses every later
+call with the same tree; importing this module builds nothing.
 
 Objects travel as text: King tableaux as rows of letters (``2 2b / 3 3``,
 ``-`` for the empty tableau), oscillating tableaux as ``(1 1b)(2 1)``,
@@ -22,6 +24,7 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 """
 
 import argparse
+import functools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -214,6 +217,17 @@ def _nonnegative_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh option tree; ``main`` keeps the first one it builds.
+
+    Every default in the tree is immutable (a str, an int or None), so
+    each ``parse_args`` call returns a fresh Namespace and no value from
+    one call reaches the next.  ``set_defaults(run=cmd_*)`` binds each
+    command body once, when the tree is built: a patch of ``cli.cmd_*``
+    made after the first ``main`` call does not reach ``main``, while the
+    names a body looks up when it runs (``crystal_graph``, say) can still
+    be patched.  A caller that changes the tree this returns does not
+    change what ``main`` parses.
+    """
     parser = argparse.ArgumentParser(prog="sympcrystal", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -269,8 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.g is None and args.needs_g(args):
             raise UsageError("this command needs --g, the column bound")

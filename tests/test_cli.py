@@ -1,3 +1,4 @@
+import functools
 import io
 import os
 import shlex
@@ -688,6 +689,101 @@ def test_byte_determinism(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second and first
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def child_env():
+    """The environment of a new interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def fresh_cli(*argv):
+    """(exit code, stdout, stderr) of ``python -m sympcrystal argv`` in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "sympcrystal", *argv],
+                          capture_output=True, text=True, env=child_env())
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_exit(capsys, *argv):
+    """(exit code, stdout, stderr) of ``main`` for an argv that argparse rejects or answers."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_an_omitted_option_takes_its_default_after_a_call_that_gave_it(capsys):
+    with_mu = run_cli(capsys, "char", "decompose", "--lambda", "[1]", "--mu", "[1]", "--m", "1")
+    argv = ["char", "decompose", "--lambda", "[1]", "--m", "1"]
+    without_mu = run_cli(capsys, *argv)
+    assert without_mu == fresh_cli(*argv) == (0, "[1]\t1\n", "")
+    assert with_mu[1] != without_mu[1]
+
+
+def test_an_omitted_output_writes_to_stdout_after_a_call_that_gave_it(capsys, tmp_path):
+    argv = ["crystal", "graph", "--mu", "[1]", "--m", "2", "--g", "1", "--format", "adj"]
+    target = tmp_path / "graph.txt"
+    assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out and out == target.read_text()
+
+
+def test_a_refused_call_leaves_the_next_call_unchanged(capsys):
+    argv = ["crystal", "graph", "--mu", "[1]", "--m", "2", "--g", "1", "--format", "adj"]
+    first = run_cli(capsys, *argv)
+    assert run_cli(capsys, "crystal", "graph", "--mu", "[2]", "--m", "3")[0] == 2  # UsageError
+    assert run_cli(capsys, *argv) == first
+    assert run_exit(capsys, "crystal", "graph", "--format", "nosuch")[0] == 2  # argparse
+    assert run_cli(capsys, *argv) == first and first[0] == 0 and first[1]
+
+
+BUILD_PROBE = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from sympcrystal import cli
+at_import = len(built)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = {cli.main(["char", "chi", "--lambda", "[1]", "--m", "2"]) for _ in range(20)}
+print(at_import, codes, built.count("sympcrystal"), cli._parser.cache_info().misses)
+"""
+
+
+def test_importing_builds_no_parser_and_twenty_calls_build_one():
+    proc = subprocess.run([sys.executable, "-c", BUILD_PROBE], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.stdout == "0 {0} 1 1\n", proc.stderr
+
+
+def test_help_and_errors_are_the_same_on_every_call(capsys, monkeypatch):
+    # a cache of its own, so that the first call here is a first build
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli.build_parser))
+    for argv in (["--help"], ["crystal", "graph", "--format", "nosuch"], ["nosuch"]):
+        first, second = run_exit(capsys, *argv), run_exit(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        captured = capsys.readouterr()
+        assert first == second == (exc.value.code, captured.out, captured.err)
+        assert first[0] == (0 if argv == ["--help"] else 2) and first[1] + first[2]
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_a_changed_fresh_parser_does_not_reach_main(capsys):
+    fresh = cli.build_parser()
+    assert fresh is not cli.build_parser()
+    fresh.add_argument("--planted", action="store_true")
+    assert fresh.parse_args(["--planted", "char", "chi"]).planted
+    argv = ["char", "chi", "--lambda", "[1]", "--m", "1"]
+    assert run_exit(capsys, "--planted", *argv)[0] == 2
+    assert run_cli(capsys, *argv)[0] == 0
 
 
 def _readme_cli_examples():
