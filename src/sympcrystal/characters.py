@@ -55,9 +55,6 @@ class LaurentCharacter:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def __neg__(self) -> "LaurentCharacter":
         return LaurentCharacter({e: -c for e, c in self.terms.items()})
 

@@ -7,11 +7,6 @@ Subcommands:
   char chi|schur|decompose|pieri  exact character computations
   verify bijections|crystal|characters|conjecture|all   invariant batteries
 
-The ``verify`` suites, their caps and their run order live in
-``sympcrystal.verify``; no other command loads it.  ``main`` builds its
-option tree once per process, on its first call, and parses every later
-call with the same tree; importing this module builds nothing.
-
 Objects travel as text: King tableaux as rows of letters (``2 2b / 3 3``,
 ``-`` for the empty tableau), oscillating tableaux as ``(1 1b)(2 1)``,
 matrices as comma-separated rows on separate lines.  All output is sorted,
@@ -31,7 +26,6 @@ from pathlib import Path
 
 from .bijections import phi, phi_inverse, psi, psi_inverse
 from .characters import (
-    LaurentCharacter,
     brauer_klimyk,
     dual_pieri_count,
     dual_pieri_counts,
@@ -172,9 +166,7 @@ def cmd_char(args):
     if args.what == "decompose":
         # lambda's row bound is checked before --mu is read
         lam = shape_in_rows(parse_partition(args.lam), args.m)
-        f = LaurentCharacter.one(args.m)
-        if args.mu is not None:
-            f = schur_eval(parse_partition(args.mu), args.m)
+        f = schur_eval(parse_partition(args.mu), args.m)
         return partition_count_lines(brauer_klimyk(lam, f, args.m)), True
     # pieri: strip counts for one column length, optionally a single target;
     # a missing --index is a usage error before any shape is read
@@ -190,7 +182,8 @@ def cmd_char(args):
 
 
 def cmd_verify(args):
-    # the battery, and the reference routes it checks against, load only here
+    # the battery (its suites, caps and run order) and the reference routes it
+    # checks against load only here; no other command loads them
     from .verify import out_of_bounds, run
 
     g = args.g if args.g is not None else min(args.m, 2)
@@ -217,7 +210,9 @@ def _nonnegative_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh option tree; ``main`` keeps the first one it builds.
+    """A fresh option tree; ``main`` keeps the first one it builds, on its
+    first call, and parses every later call with it (importing this module
+    builds nothing).
 
     Every default in the tree is immutable (a str, an int or None), so
     each ``parse_args`` call returns a fresh Namespace and no value from
@@ -268,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("char", help="exact character computations")
     p.add_argument("what", choices=["chi", "schur", "decompose", "pieri"])
     p.add_argument("--lambda", dest="lam", default="[]")
-    p.add_argument("--mu", default=None)
+    p.add_argument("--mu", default="[]")
     p.add_argument("--nu", default=None)
     p.add_argument("--index", type=_nonnegative_int, default=None, help="strip size for pieri")
     p.add_argument("--format", choices=["text", "tsv"], default="text")

@@ -73,21 +73,17 @@ def ssyt_stats(t: Tableau, i: int) -> tuple[int, int]:
 
 
 def _checked_insertion(m: Matrix, i: int, g: int) -> Tableau | None:
-    """Reject a matrix outside the crystal or a bad index; return ``P`` for
-    i >= 1 (an admissible matrix has ``Q = P``), None at index 0 (which
-    inserts nothing)."""
+    """Reject a matrix outside the crystal (``P`` wider than 2g) or a bad
+    index; return ``P`` for i >= 1 (an admissible matrix has ``Q = P``),
+    None at index 0 (which reads the top row, not ``P``)."""
     if not is_admissible(m):
         raise ValueError("matrix must be nonnegative and symmetric with even diagonal")
     if not 0 <= i <= len(m) - 1:
         raise ValueError(f"index {i} out of range for a {len(m)}-row matrix")
-    if i == 0:
-        p, width = None, c_index(m)
-    else:
-        p = column_insert_word(two_line_array(m)[1])
-        width = len(p.rows[0]) if p.rows else 0
-    if width > 2 * g:
+    p = column_insert_word(two_line_array(m)[1])
+    if p.rows and len(p.rows[0]) > 2 * g:
         raise ValueError("matrix has more than 2g weakly decreasing positions")
-    return p
+    return p if i else None
 
 
 def _matrix_move(m: Matrix, i: int, g: int, k: int) -> Matrix | None:

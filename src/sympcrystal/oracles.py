@@ -21,8 +21,6 @@
   (0 raises, 1 lowers) by bracket surgery on :func:`surgery_rows`, without
   insertion (the ``verify crystal`` row ``insertion_vs_surgery``;
   ``test_crystal.py::test_matrix_two_routes_agree_exhaustive``).
-* :func:`locality_mask`: the part of a matrix that junction ``i`` sees
-  (``test_crystal.py::test_locality_mask_anchor``).
 * :func:`strip_sequence`, :func:`strip_additions`, :func:`strip_removals`,
   :func:`ssot_chain`: shapes and row multisets replayed from strip words.
 * :func:`matrices_with_sum`, every matrix of a given size up to an entry
@@ -222,29 +220,6 @@ def matrix_surgery(m: Matrix, i: int, k: int) -> Matrix | None:
     step = surgery_rows(m, i, k)
     out = None if step is None else surgery_rows(transpose_matrix(step), i, k)
     return None if out is None else transpose_matrix(out)
-
-
-def locality_mask(m: Matrix, i: int) -> Matrix:
-    """The part of the matrix (1-based rows/columns) that junction i sees.
-
-    Rows above i vanish; inside rows i, i+1 only the lower triangle
-    survives, with the diagonal halved; below that block only the columns
-    up to i+1 remain.
-    """
-    n = len(m)
-    rows = []
-    for p in range(1, n + 1):
-        row = []
-        for q in range(1, n + 1):
-            v = m[p - 1][q - 1]
-            if p < i or (p > i + 1 and q > i + 1) or (p in (i, i + 1) and q > p):
-                row.append(0)
-            elif p in (i, i + 1) and q == p:
-                row.append(v // 2)
-            else:
-                row.append(v)
-        rows.append(row)
-    return matrix(rows)
 
 
 # ---------------------------------------------------------------------------

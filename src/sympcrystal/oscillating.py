@@ -195,10 +195,6 @@ class SSOT:
         return "".join(str(s) for s in self.strips)
 
 
-def ssot_to_text(t: SSOT) -> str:
-    return str(t)
-
-
 def ssot_from_text(text: str, inside: Partition = ()) -> SSOT:
     """Parse ``(1 1b)(2 1)...``; ``inside`` is the starting shape."""
     text = text.strip()
@@ -312,7 +308,7 @@ def _junction(t: SSOT, i: int) -> tuple[tuple[list[int], ...], tuple[list[int], 
     return lists, pair_multisets(*lists)
 
 
-def first_strip_counts(t: SSOT) -> tuple[int, int]:
+def _first_strip_counts(t: SSOT) -> tuple[int, int]:
     """(additions, removals) of the first strip, which index 0 acts on."""
     if t.inside != ():
         raise ValueError("index 0 acts only on tableaux that start empty")
@@ -329,7 +325,7 @@ def ssot_stats(t: SSOT, i: int, g: int) -> tuple[int, int]:
     if t.num_cols > g:
         raise ValueError(f"a peak shape needs more than {g} columns")
     if i == 0:
-        a, b = first_strip_counts(t)
+        a, b = _first_strip_counts(t)
         return b, g - a
     left_c, left_d = _junction(t, i)[1]
     return len(left_d), len(left_c)
@@ -343,7 +339,7 @@ def ssot_move(t: SSOT, i: int, g: int, k: int) -> SSOT | None:
     if t.num_cols > g:
         raise ValueError(f"a peak shape needs more than {g} columns")
     if i == 0:
-        a, b = first_strip_counts(t)
+        a, b = _first_strip_counts(t)
         if (b, g - a)[k] <= 0:
             return None
         s = (-1, 1)[k]

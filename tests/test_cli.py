@@ -287,6 +287,18 @@ def test_char_schur(capsys):
     assert (code, out) == (0, "x1^2 + 1 + x1^-2\n")
 
 
+def test_char_schur_without_mu_is_the_empty_shape(capsys):
+    assert run_cli(capsys, "char", "schur", "--m", "2") == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("m", ["1", "2", "3"])
+def test_char_decompose_without_mu_is_the_empty_shape(capsys, m):
+    argv = ["char", "decompose", "--lambda", "[1]", "--m", m]
+    without_mu = run_cli(capsys, *argv)
+    assert without_mu == run_cli(capsys, *argv, "--mu", "[]")
+    assert without_mu[0] == 0 and without_mu[1]
+
+
 def test_char_decompose_product(capsys):
     code, out, _ = run_cli(
         capsys, "char", "decompose", "--lambda", "[1]", "--mu", "[1]", "--m", "2"
@@ -774,6 +786,16 @@ def test_help_and_errors_are_the_same_on_every_call(capsys, monkeypatch):
         assert first == second == (exc.value.code, captured.out, captured.err)
         assert first[0] == (0 if argv == ["--help"] else 2) and first[1] + first[2]
     assert cli._parser.cache_info().misses == 1
+
+
+def test_help_shows_the_commands_and_exit_codes_and_no_implementation_notes(capsys):
+    code, out, _ = run_exit(capsys, "--help")
+    assert code == 0
+    for command in ("enumerate", "map", "crystal", "char", "verify"):
+        assert f"\n  {command} " in out, command
+    for exit_code in ("0 success", "1 verification failure", "2 usage error", "3 invalid input"):
+        assert exit_code in out
+    assert "option tree" not in out and "sympcrystal.verify" not in out
 
 
 def test_a_changed_fresh_parser_does_not_reach_main(capsys):

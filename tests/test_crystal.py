@@ -27,7 +27,6 @@ from sympcrystal.crystal import (
     stembridge_violations,
 )
 from sympcrystal.oracles import (
-    locality_mask,
     matrix_surgery,
     strip_additions,
     strip_removals,
@@ -513,16 +512,6 @@ def test_matrix_raise_locality_example():
     for p in (0, 3):
         for q in (0, 3):
             assert up[p][q] == m[p][q]
-
-
-def test_locality_mask_anchor():
-    m = matrix([[2, 2, 1, 1], [2, 2, 0, 1], [1, 0, 4, 1], [1, 1, 1, 2]])
-    assert locality_mask(m, 2) == matrix(
-        [[0, 0, 0, 0], [2, 1, 0, 0], [1, 0, 2, 0], [1, 1, 1, 0]]
-    )
-    assert locality_mask(MatrixCrystal(4, 5).e(m, 2), 2) == matrix(
-        [[0, 0, 0, 0], [2, 1, 0, 0], [1, 0, 2, 0], [1, 2, 0, 0]]
-    )
 
 
 def test_matrix_two_routes_agree_exhaustive():

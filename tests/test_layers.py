@@ -10,7 +10,7 @@
   rebuild every such object through the checking constructor.  A new
   caller comes with its own differential test.
 * The SSOT junction codec stays in ``oscillating``: no module imports
-  ``shift_overlap``, ``strip_pair_multisets`` or ``first_strip_counts``.
+  ``shift_overlap``, ``strip_pair_multisets`` or ``_first_strip_counts``.
   The bracket ``pair_multisets`` is the package's one, and only ``crystal``
   (the type-A tableau crystal) and ``oracles`` (the surgery route) import it.
 * No module defines two functions whose names differ only by ``raise``
@@ -122,7 +122,7 @@ def test_only_oracles_imports_private_sibling_names(imports):
 
 
 def test_only_crystal_and_oracles_import_the_bracket_and_none_the_codec(imports):
-    codec = {"shift_overlap", "strip_pair_multisets", "first_strip_counts", "pair_multisets"}
+    codec = {"shift_overlap", "strip_pair_multisets", "_first_strip_counts", "pair_multisets"}
     importers = sorted(
         (name, f"{module}.{n}")
         for name, entries in imports.items()

@@ -21,7 +21,6 @@ from sympcrystal.oscillating import (
     enumerate_strips,
     peaks_above,
     ssot_from_text,
-    ssot_to_text,
 )
 from sympcrystal.tableaux import partitions_in_box
 
@@ -207,11 +206,11 @@ def test_ssot_replace():
 
 def test_text_roundtrip():
     t = running_example()
-    assert ssot_to_text(t) == "(1 1b)(1 1 1b)(2 1 2b)(2 1)"
-    assert ssot_from_text(ssot_to_text(t)) == t
+    assert str(t) == "(1 1b)(1 1 1b)(2 1 2b)(2 1)"
+    assert ssot_from_text(str(t)) == t
     assert ssot_from_text("()()").weight() == (0, 0)
     skew = SSOT((OscStrip((2,), (-1,)),))
-    assert ssot_from_text(ssot_to_text(skew), inside=(2,)) == skew
+    assert ssot_from_text(str(skew), inside=(2,)) == skew
     with pytest.raises(ValueError):
         ssot_from_text("")
     with pytest.raises(ValueError):
@@ -253,7 +252,7 @@ def test_enumerate_ssot_counts():
     assert len(enumerate_ssot((), 1, 1)) == 2
     five = enumerate_ssot((), 2, 1)
     assert len(five) == 5
-    texts = {ssot_to_text(t) for t in five}
+    texts = {str(t) for t in five}
     assert texts == {
         "()()",
         "(1 1b)()",
@@ -344,7 +343,7 @@ def test_enumerate_ssot_peak_bound():
     for t in enumerate_ssot((), 2, 2):
         assert t.num_cols <= 2
     # strips of size up to 2g occur: (1 1)(1b 1b) needs two columns
-    texts = {ssot_to_text(t) for t in enumerate_ssot((), 2, 2)}
+    texts = {str(t) for t in enumerate_ssot((), 2, 2)}
     assert "(1 1)(1b 1b)" in texts
 
 
