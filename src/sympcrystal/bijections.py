@@ -57,30 +57,23 @@ def psi(t: KingTableau, m: int, g: int) -> SSOT:
 
 def psi_inverse(s: SSOT, g: int) -> KingTableau:
     """King tableau whose subshape ladder complements the shapes of ``s``."""
-    m = s.length
     if s.inside != ():
         raise ValueError("tableau must start at the empty shape")
     if s.num_cols > g:
         raise ValueError(f"a peak shape needs more than {g} columns")
-    subshapes: list[Partition] = [()]
-    for i in range(1, m + 1):
-        strip = s.strips[i - 1]
-        subshapes.append(rect_complement(strip.star, i, g))
-        subshapes.append(rect_complement(strip.outside, i, g))
-    grid: list[list[int]] = []
-    for r in range(1, 2 * m + 1):
-        prev, cur = subshapes[r - 1], subshapes[r]
-        prev = prev + (0,) * (len(cur) - len(prev))
-        if len(prev) > len(cur):
-            raise ValueError("subshape ladder is not increasing")
-        for row in range(len(cur)):
-            if cur[row] < prev[row]:
-                raise ValueError("subshape ladder is not increasing")
-            if cur[row] > prev[row]:
-                while len(grid) <= row:
-                    grid.append([])
-                grid[row].extend([rank_letter(r)] * (cur[row] - prev[row]))
-    return KingTableau(tuple(tuple(r) for r in grid))
+    # rung r is the shape of the letters of rank <= r; every strip is a
+    # horizontal strip over its inside and outside, so no rung shrinks a row
+    ladder = [()] + [rect_complement(shape, i, g)
+                     for i, strip in enumerate(s.strips, start=1)
+                     for shape in (strip.star, strip.outside)]
+    rows = [[] for _ in ladder[-1]]
+    for r in range(1, len(ladder)):
+        prev, cur = ladder[r - 1], ladder[r]
+        for j in range(len(cur)):
+            k = cur[j] - (prev[j] if j < len(prev) else 0)
+            if k:
+                rows[j] += [rank_letter(r)] * k
+    return KingTableau(tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,17 +41,6 @@ class LaurentCharacter:
         clean = {tuple(e): int(c) for e, c in self.terms.items() if c}
         object.__setattr__(self, "terms", clean)
 
-    @classmethod
-    def monomial(cls, exponent: Weight, coeff: int = 1) -> "LaurentCharacter":
-        return cls({tuple(exponent): coeff})
-
-    @classmethod
-    def one(cls, m: int) -> "LaurentCharacter":
-        return cls.monomial((0,) * m)
-
-    def coeff(self, exponent: Weight) -> int:
-        return self.terms.get(tuple(exponent), 0)
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -78,10 +67,6 @@ class LaurentCharacter:
         return LaurentCharacter(out)
 
     __rmul__ = __mul__
-
-    def total(self) -> int:
-        """Sum of all coefficients, i.e. the evaluation at every x_k = 1."""
-        return sum(self.terms.values())
 
     def __str__(self) -> str:
         if not self.terms:

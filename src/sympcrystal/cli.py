@@ -7,10 +7,11 @@ Subcommands:
   char chi|schur|decompose|pieri  exact character computations
   verify bijections|crystal|characters|conjecture|all   invariant batteries
 
-Objects travel as text: King tableaux as rows of letters (``2 2b / 3 3``,
-``-`` for the empty tableau), oscillating tableaux as ``(1 1b)(2 1)``,
-matrices as comma-separated rows on separate lines.  All output is sorted,
-so identical invocations produce identical bytes.
+Objects travel as text, in the forms the library prints and parses: King
+tableaux as rows of letters (``2 2b / 3 3``, ``-`` for the empty tableau;
+rows on separate lines are read too), oscillating tableaux as
+``(1 1b)(2 1)``, matrices as comma-separated rows on separate lines.  All
+output is sorted, so identical invocations produce identical bytes.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error (including out-of-bounds verify requests, negative --m, --g,
@@ -45,7 +46,6 @@ from .tableaux import (
     enumerate_king,
     format_partition,
     king_from_text,
-    king_to_text,
     parse_partition,
     rect_complement,
     shape_in_rows,
@@ -58,18 +58,7 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# object text forms
-
-
-def king_line(t) -> str:
-    return " / ".join(king_to_text(t).splitlines()) or "-"
-
-
-def parse_king_text(text: str):
-    text = text.strip()
-    if text == "-":
-        return king_from_text("")
-    return king_from_text(text.replace("/", "\n"))
+# object input
 
 
 def read_input(path: str | None) -> str:
@@ -88,7 +77,7 @@ def read_input(path: str | None) -> str:
 def cmd_enumerate(args):
     mu = parse_partition(args.mu)
     if args.what == "king":
-        items = [king_line(t) for t in enumerate_king(mu, args.m)]
+        items = [str(t) for t in enumerate_king(mu, args.m)]
     else:
         outside = rect_complement(mu, args.m, args.g)
         items = sorted(str(t) for t in enumerate_ssot(outside, args.m, args.g))
@@ -98,9 +87,9 @@ def cmd_enumerate(args):
 def cmd_map(args):
     text = read_input(args.input)
     if args.how == "psi":
-        out = str(psi(parse_king_text(text), args.m, args.g))
+        out = str(psi(king_from_text(text), args.m, args.g))
     elif args.how == "psi-inv":
-        out = king_line(psi_inverse(ssot_from_text(text), args.g))
+        out = str(psi_inverse(ssot_from_text(text), args.g))
     elif args.how == "phi":
         out = format_matrix(phi(ssot_from_text(text)))
     else:  # phi-inv
@@ -152,7 +141,7 @@ def partition_count_lines(counts) -> list[str]:
 def char_lines(f, fmt: str):
     if fmt == "tsv":
         return [
-            "[" + ",".join(str(v) for v in e) + "]\t" + str(f.terms[e])
+            f"{format_partition(e)}\t{f.terms[e]}"
             for e in sorted(f.terms, reverse=True)
         ]
     return [str(f)]

@@ -14,6 +14,9 @@ Conventions used across the package:
   primed letter is the barred one.  A letter is stored as a signed int:
   ``+i`` for the plain letter and ``-i`` for the barred letter.  Text form
   uses a ``b`` suffix (``2b`` is barred 2).
+* A King tableau's text form is its rows joined by `` / ``, as in
+  ``2 2b / 3 3``, or ``-`` for no rows: ``str`` prints it and
+  :func:`king_from_text` reads it back, as the CLI does.
 """
 
 from __future__ import annotations
@@ -359,7 +362,7 @@ class KingTableau:
         )
 
     def __str__(self) -> str:
-        return "/".join(" ".join(format_letter(x) for x in r) for r in self.rows)
+        return " / ".join(" ".join(map(format_letter, r)) for r in self.rows) or "-"
 
 
 def king_weight(t: KingTableau, m: int) -> Weight:
@@ -385,16 +388,10 @@ def enumerate_king(mu: Partition, m: int) -> list[KingTableau]:
     ]
 
 
-def king_to_text(t: KingTableau) -> str:
-    """One row per line, letters like ``2`` and ``2b`` separated by spaces."""
-    return "\n".join(" ".join(format_letter(x) for x in r) for r in t.rows)
-
-
 def king_from_text(text: str) -> KingTableau:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rows.append(tuple(parse_letter(tok) for tok in line.split()))
-    return KingTableau(tuple(rows))
+    """Inverse of ``str``: rows split at ``/`` or at line breaks, blank rows
+    skipped, and ``-`` alone for the empty tableau."""
+    if text.strip() == "-":
+        return KingTableau(())
+    rows = (line.split() for line in text.replace("/", "\n").splitlines())
+    return KingTableau(tuple(tuple(map(parse_letter, row)) for row in rows if row))

@@ -184,7 +184,7 @@ def suite_conjecture(m, max_size):
             if r.mode == "ASSERT":
                 asserted += 1
                 if not r.ok:
-                    bad.append((lam, mu))
+                    bad.append(f"lambda={format_partition(lam)} mu={format_partition(mu)}")
             else:
                 reported += 1
                 if not r.ok:
@@ -192,7 +192,7 @@ def suite_conjecture(m, max_size):
                                  f"lambda={format_partition(lam)} mu={format_partition(mu)}"))
     rows.append(("conjecture", "product_formula_proved_range", not bad,
                  f"asserted={asserted} reported={reported}" if not bad
-                 else f"first failure lambda={bad[0][0]} mu={bad[0][1]}"))
+                 else f"first failure {bad[0]}"))
     return rows
 
 

@@ -87,6 +87,15 @@ def test_psi_bijection_small_ranks():
             assert len(enumerate_ssot(mu_hat, m, g)) == len(kings)
 
 
+@pytest.mark.parametrize("m,g", [(2, 3), (3, 2), (3, 3)])
+def test_psi_inverse_then_psi_is_the_identity(m, g):
+    """Every chain from the empty shape, at every outside, comes back."""
+    chains = enumerate_ssot(None, m, g)
+    assert chains
+    for s in chains:
+        assert psi(psi_inverse(s, g), m, g) == s
+
+
 def test_psi_rejects_bad_input():
     with pytest.raises(ValueError):
         psi(KING, 4, 1)  # shape does not fit the rectangle

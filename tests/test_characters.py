@@ -36,20 +36,20 @@ from sympcrystal.tableaux import (
 
 
 def test_laurent_arithmetic():
-    x = LaurentCharacter.monomial((1,))
-    xi = LaurentCharacter.monomial((-1,))
+    x = LaurentCharacter({(1,): 1})
+    xi = LaurentCharacter({(-1,): 1})
     f = x + xi
     assert f * f == LaurentCharacter({(2,): 1, (0,): 2, (-2,): 1})
     assert f - f == LaurentCharacter()
     assert not (f - f)
     assert 3 * f == f * 3 == LaurentCharacter({(1,): 3, (-1,): 3})
-    assert (f * f).coeff((0,)) == 2 and f.coeff((5,)) == 0
-    assert f.total() == 2
+    assert (f * f).terms.get((0,), 0) == 2 and f.terms.get((5,), 0) == 0
+    assert sum(f.terms.values()) == 2
 
 
 def test_laurent_strings():
     assert str(LaurentCharacter()) == "0"
-    assert str(LaurentCharacter.one(2)) == "1"
+    assert str(LaurentCharacter({(0, 0): 1})) == "1"
     f = LaurentCharacter({(1, -1): 1, (0, 0): -2, (-1, 1): 1})
     assert str(f) == "x1*x2^-1 - 2 + x1^-1*x2"
 
@@ -60,7 +60,7 @@ def test_laurent_strings():
 
 def test_king_character_anchors():
     assert king_character((1,), 1) == LaurentCharacter({(1,): 1, (-1,): 1})
-    assert king_character((), 2) == LaurentCharacter.one(2)
+    assert king_character((), 2) == LaurentCharacter({(0, 0): 1})
     assert king_character((1, 1), 2) == LaurentCharacter(
         {(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1, (0, 0): 1}
     )
@@ -68,7 +68,7 @@ def test_king_character_anchors():
 
 def test_weyl_character_anchors():
     assert weyl_character((1,), 1) == LaurentCharacter({(1,): 1, (-1,): 1})
-    assert weyl_character((), 2) == LaurentCharacter.one(2)
+    assert weyl_character((), 2) == LaurentCharacter({(0, 0): 1})
     assert weyl_character((1, 1), 2) == king_character((1, 1), 2)
     with pytest.raises(ValueError):
         weyl_character((1, 1), 1)
@@ -81,7 +81,7 @@ def test_king_equals_weyl_small():
 
 
 def test_divide_exact_rejects_inexact_ratio():
-    x1, x2 = LaurentCharacter.monomial((1, 0)), LaurentCharacter.monomial((0, 1))
+    x1, x2 = LaurentCharacter({(1, 0): 1}), LaurentCharacter({(0, 1): 1})
     with pytest.raises(ValueError):
         _divide_exact(x1, x1 + x2)
     with pytest.raises(ValueError):
@@ -89,7 +89,7 @@ def test_divide_exact_rejects_inexact_ratio():
 
 
 def test_divide_exact_names_the_failed_step():
-    x1, x2 = LaurentCharacter.monomial((1, 0)), LaurentCharacter.monomial((0, 1))
+    x1, x2 = LaurentCharacter({(1, 0): 1}), LaurentCharacter({(0, 1): 1})
     with pytest.raises(ValueError, match="leading coefficients do not divide"):
         _divide_exact(x1, 2 * x1)
     with pytest.raises(ValueError, match="leaves the degree box"):
@@ -102,13 +102,13 @@ def test_weyl_equals_king_on_a_large_shape():
 
 
 def test_divide_exact_recovers_products():
-    x1, x2 = LaurentCharacter.monomial((1, 0)), LaurentCharacter.monomial((0, 1))
-    x1_inv = LaurentCharacter.monomial((-1, 0))
+    x1, x2 = LaurentCharacter({(1, 0): 1}), LaurentCharacter({(0, 1): 1})
+    x1_inv = LaurentCharacter({(-1, 0): 1})
     for p, den in [
         (x1 + x2, x1 + x2),
         (x1 * x1 - 3 * x2 + x1_inv, x1 - x2),
         (king_character((2, 1), 2), king_character((1,), 2)),
-        (schur_eval((2,), 2) - LaurentCharacter.one(2), x1 * x2 + x1_inv),
+        (schur_eval((2,), 2) - LaurentCharacter({(0, 0): 1}), x1 * x2 + x1_inv),
     ]:
         assert _divide_exact(p * den, den) == p
 
@@ -124,15 +124,15 @@ def test_weyl_dimension_anchors():
         ((3, 3, 3), 3, 330),
     ]:
         assert weyl_dimension(lam, m) == want
-        assert weyl_character(lam, m).total() == want
+        assert sum(weyl_character(lam, m).terms.values()) == want
         assert len(enumerate_king(lam, m)) == want
 
 
 def test_schur_eval_anchors():
     assert schur_eval((1,), 1) == LaurentCharacter({(1,): 1, (-1,): 1})
-    assert schur_eval((1, 1), 1) == LaurentCharacter.one(1)
+    assert schur_eval((1, 1), 1) == LaurentCharacter({(0,): 1})
     assert schur_eval((2,), 1) == LaurentCharacter({(2,): 1, (0,): 1, (-2,): 1})
-    assert schur_eval((), 2) == LaurentCharacter.one(2)
+    assert schur_eval((), 2) == LaurentCharacter({(0, 0): 1})
     # first elementary = first homogeneous = the defining character
     assert schur_eval((1,), 2) == weyl_character((1,), 2)
     # too-long column over 2m letters vanishes
@@ -153,18 +153,18 @@ def test_schur_eval_is_signed_symmetric():
 def test_decompose_anchors():
     f = weyl_character((1,), 2) * weyl_character((1,), 2)
     assert decompose_sp(f, 2) == Counter({(2,): 1, (1, 1): 1, (): 1})
-    assert decompose_sp(LaurentCharacter.one(2), 2) == Counter({(): 1})
+    assert decompose_sp(LaurentCharacter({(0, 0): 1}), 2) == Counter({(): 1})
     assert decompose_sp(LaurentCharacter(), 2) == Counter()
-    assert decompose_sp(LaurentCharacter.one(0), 0) == Counter({(): 1})
+    assert decompose_sp(LaurentCharacter({(): 1}), 0) == Counter({(): 1})
     s = schur_eval((1,), 1)
     assert decompose_sp(s * s, 1) == Counter({(2,): 1, (): 1})
 
 
 def test_decompose_rejects_asymmetric():
     with pytest.raises(ValueError):
-        decompose_sp(LaurentCharacter.monomial((1, 0)), 2)
+        decompose_sp(LaurentCharacter({(1, 0): 1}), 2)
     with pytest.raises(ValueError):
-        decompose_sp(LaurentCharacter.monomial((0, 0), 1) + LaurentCharacter.monomial((0, 1), 1), 2)
+        decompose_sp(LaurentCharacter({(0, 0): 1}) + LaurentCharacter({(0, 1): 1}), 2)
     # x1 + x1^-1 is fixed by negations but not by the swap
     with pytest.raises(ValueError, match="not symmetric under signed permutations"):
         decompose_sp(LaurentCharacter({(1, 0): 1, (-1, 0): 1}), 2)
@@ -172,7 +172,7 @@ def test_decompose_rejects_asymmetric():
     with pytest.raises(ValueError, match="not symmetric under signed permutations"):
         decompose_sp(LaurentCharacter({(1, 0): 1, (0, 1): 1}), 2)
     # exponents of another length are not characters on m tracks
-    for f, m in [(LaurentCharacter.one(2), 3), (LaurentCharacter.one(3), 2)]:
+    for f, m in [(LaurentCharacter({(0, 0): 1}), 3), (LaurentCharacter({(0, 0, 0): 1}), 2)]:
         with pytest.raises(ValueError, match="entries"):
             decompose_sp(f, m)
 
@@ -197,7 +197,7 @@ def test_decompose_reconstructs_random_products():
         a, b = rng.choice(pool[m]), rng.choice(pool[m])
         f = weyl_character(a, m) * weyl_character(b, m)
         dec = decompose_sp(f, m)
-        rebuilt = LaurentCharacter.one(m) * 0
+        rebuilt = LaurentCharacter()
         for nu, c in dec.items():
             assert c > 0  # products of characters decompose positively
             rebuilt = rebuilt + c * weyl_character(nu, m)
@@ -231,10 +231,10 @@ def test_brauer_klimyk_anchors():
         {(2,): 1, (1, 1): 1, (): 1}
     )
     assert brauer_klimyk((2, 1), LaurentCharacter(), 2) == Counter()
-    assert brauer_klimyk((2, 1), LaurentCharacter.one(2), 2) == Counter({(2, 1): 1})
-    assert brauer_klimyk((), LaurentCharacter.one(0), 0) == Counter({(): 1})
+    assert brauer_klimyk((2, 1), LaurentCharacter({(0, 0): 1}), 2) == Counter({(2, 1): 1})
+    assert brauer_klimyk((), LaurentCharacter({(): 1}), 0) == Counter({(): 1})
     # chi_lam * (-1) has multiplicity -1 at lam
-    assert brauer_klimyk((1,), -LaurentCharacter.one(1), 1) == Counter({(1,): -1})
+    assert brauer_klimyk((1,), -LaurentCharacter({(0,): 1}), 1) == Counter({(1,): -1})
 
 
 @pytest.mark.parametrize("fn", [weyl_character, weyl_dimension])
@@ -245,13 +245,13 @@ def test_weyl_routes_share_the_row_check(fn):
 
 def test_brauer_klimyk_rejects_bad_input():
     with pytest.raises(ValueError, match="shape \\(1, 1\\) has more than 1 rows"):
-        brauer_klimyk((1, 1), LaurentCharacter.one(1), 1)
+        brauer_klimyk((1, 1), LaurentCharacter({(0,): 1}), 1)
     with pytest.raises(ValueError, match="not weakly decreasing"):
-        brauer_klimyk((1, 2), LaurentCharacter.one(2), 2)
+        brauer_klimyk((1, 2), LaurentCharacter({(0, 0): 1}), 2)
     with pytest.raises(ValueError, match="not symmetric under signed permutations"):
         brauer_klimyk((1,), LaurentCharacter({(1, 0): 1, (0, 1): 1}), 2)
     with pytest.raises(ValueError, match="entries"):
-        brauer_klimyk((1,), LaurentCharacter.one(3), 2)
+        brauer_klimyk((1,), LaurentCharacter({(0, 0, 0): 1}), 2)
 
 
 # ---------------------------------------------------------------------------

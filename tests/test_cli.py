@@ -90,6 +90,19 @@ def test_map_pipeline_round(capsys, monkeypatch):
     assert (code, out) == (0, WORKED_SSOT + "\n")
 
 
+def test_map_psi_then_psi_inverse_returns_every_enumerated_line(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "enumerate", "king", "--mu", "[2,1]", "--m", "3")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "count 64"
+    for line in lines[:-1]:
+        code, image, _ = run_with_stdin(
+            capsys, monkeypatch, line, "map", "psi", "--m", "3", "--g", "2"
+        )
+        assert code == 0
+        code, back, _ = run_with_stdin(capsys, monkeypatch, image, "map", "psi-inv", "--g", "2")
+        assert (code, back) == (0, line + "\n")
+
+
 def test_map_rejects_garbage(capsys, monkeypatch):
     code, out, err = run_with_stdin(capsys, monkeypatch, "((bogus", "map", "phi")
     assert code == 3 and out == "" and "invalid input" in err
@@ -432,6 +445,19 @@ def test_verify_conjecture_evaluates_each_schur_once_per_call(capsys, monkeypatc
     assert main(argv) == 0
     assert set(calls.values()) == {2}
     capsys.readouterr()
+
+
+def test_verify_conjecture_names_its_first_failure_as_partitions(capsys, monkeypatch):
+    def fake(lam, mu, m, memo, schurs):
+        bad = (lam, mu) == ((1,), (1,))
+        return characters.ConjectureReport(lam, mu, m, "ASSERT", (((), 0, int(bad)),))
+
+    monkeypatch.setattr(verify, "conjecture_verify", fake)
+    code, out, _ = run_cli(capsys, "verify", "conjecture", "--m", "1", "--max-size", "1")
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "conjecture\tproduct_formula_proved_range\tFAIL\tfirst failure lambda=[1] mu=[1]"
+    )
 
 
 @pytest.fixture

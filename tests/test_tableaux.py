@@ -15,7 +15,6 @@ from sympcrystal.tableaux import (
     format_letter,
     format_partition,
     king_from_text,
-    king_to_text,
     king_weight,
     letter_rank,
     normalize_partition,
@@ -384,8 +383,24 @@ def test_king_counts_are_symplectic_dimensions():
 
 def test_king_text_roundtrip():
     t = KingTableau(((2, -2), (3, 3), (-3, 4), (4, -4)))
-    assert king_to_text(t) == "2 2b\n3 3\n3b 4\n4 4b"
-    assert king_from_text(king_to_text(t)) == t
+    assert str(t) == "2 2b / 3 3 / 3b 4 / 4 4b"
+    assert king_from_text(str(t)) == t
+    assert king_from_text("2 2b\n3 3\n3b 4\n4 4b") == t
+
+
+def test_empty_king_tableau_text_is_a_dash():
+    assert str(KingTableau(())) == "-"
+    assert king_from_text("-") == king_from_text("") == KingTableau(())
+
+
+@pytest.mark.parametrize("m,g", itertools.product((1, 2, 3), repeat=2))
+def test_king_text_roundtrips_every_tableau_in_the_box(m, g):
+    """Both text forms read back: rows joined by `` / `` and rows on lines."""
+    for mu in partitions_in_box(m, g):
+        for t in enumerate_king(mu, m):
+            text = str(t)
+            assert king_from_text(text) == t
+            assert king_from_text(text.replace(" / ", "\n")) == t
 
 
 if __name__ == "__main__":
